@@ -93,10 +93,6 @@ class FiberGrid:
     def n_nodes(self):
         return int(np.prod(self.shape))
 
-    @property
-    def is_flat(self):
-        return bool(np.all(self.metric_diag == 1.0))
-
     def check_scalar(self, values, name="field"):
         """Validate and return a scalar field array of shape ``grid.shape``."""
         arr = np.asarray(values, dtype=float)

@@ -13,7 +13,7 @@ slice {t = t0} has H = d/dt log f (t0, x).  The slice case pins every sign
 in this module.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class InducedMetric:
     matrix: np.ndarray        # shape + (n, n)
     det_direct: np.ndarray    # per-node determinant of `matrix`
     det_factored: np.ndarray  # closed-form rho^-2 f^(2n-4) det g_F
-    inverse: np.ndarray = field(repr=False, default=None)
 
 
 def induced_metric(graph):
@@ -193,7 +192,6 @@ def induced_metric(graph):
         matrix=g,
         det_direct=np.linalg.det(g),
         det_factored=kit.det_factored(),
-        inverse=np.linalg.inv(g),
     )
 
 

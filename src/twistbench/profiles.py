@@ -132,8 +132,3 @@ class TrigPolynomial:
                     * np.sin(self._angles(coords, wavevec, phase))
                 )
         return out
-
-    @property
-    def max_abs_bound(self):
-        """Crude sup bound sum |c_k| (used for positivity pre-checks)."""
-        return float(sum(abs(c) for c, _, _ in self.modes))

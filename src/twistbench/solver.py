@@ -1,20 +1,29 @@
 """Prescribed-mean-curvature solver on the closed fiber.
 
-Solves H[u] = H0 (maximal for H0 = 0) with a damped Jacobian-free
-Newton-Krylov outer loop, a pseudo-transient relaxation fallback for poor
-initializers, and two kinds of non-existence reporting: an analytic bound
-certificate from the extrema of d/dt log f, and a drift diagnostic when the
-relaxed iterate runs away toward an interval endpoint.  Converged outcomes
-are re-verified through both mean-curvature code paths before being
-reported.
+Solves H[u] = H0 (maximal for H0 = 0) with a damped Newton-Krylov outer
+loop, a pseudo-transient relaxation fallback for poor initializers, and two
+kinds of non-existence reporting: an analytic bound certificate from the
+extrema of d/dt log f, and a drift diagnostic when the relaxed iterate runs
+away toward an interval endpoint.  Converged outcomes are re-verified
+through both mean-curvature code paths before being reported.
+
+Newton directions come from lgmres on the assembled sparse Jacobian.  The
+residual at a node reads u only on the L1 ball of radius 2 around it (the
+wide central stencil applied twice), so columns whose stencils never share
+a row are perturbed together: a greedy Curtis-Powell-Reid coloring of the
+periodic lattice, computed once per grid shape, builds the whole Jacobian
+from one pair of central-difference residuals per color.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import aslinearoperator, lgmres
 
-from .errors import DomainError
+from .errors import DomainError, SpacelikeError
 from .graphs import (
     GraphField,
     _kit,
@@ -35,6 +44,13 @@ __all__ = [
     "rigidity_report",
     "RigidityReport",
 ]
+
+# errors that mean "this trial point or linear solve is unusable", as
+# opposed to a fault in the program, which must propagate
+_STEP_ERRORS = (SpacelikeError, DomainError, np.linalg.LinAlgError)
+
+# the residual at a node reads u on the L1 ball of this radius around it
+_RESIDUAL_REACH = 2
 
 
 @dataclass
@@ -159,6 +175,7 @@ class _Driver:
         self.log = []
         self.step_count = 0
         self.drift_history = []  # (mean height, residual) per fallback sweep
+        self.krylov_info = None  # lgmres info of the latest Newton direction
 
     def residual(self, values):
         return residual_field(GraphField(self.model, values), self.config.target)
@@ -225,48 +242,108 @@ class _Driver:
         return None
 
 
-def _krylov_step(driver, u, R):
-    """Inexact Newton direction by Jacobian-free central differencing.
+def _lattice_ball(dim, radius):
+    """Integer offsets of L1 length at most ``radius``, shape (K, dim)."""
+    span = range(-radius, radius + 1)
+    return np.array(
+        [o for o in itertools.product(span, repeat=dim) if sum(map(abs, o)) <= radius]
+    )
 
-    When the Jacobian annihilates the constant direction (one-parameter
-    slice families make the problem gauge-degenerate) the Krylov solution
-    carries an arbitrary constant component; it is detected with a probe
-    and projected out so iterates do not wander toward the interval ends.
+
+def _periodic_neighbours(shape, radius):
+    """Flat indices of the nodes within L1 distance ``radius`` of each node
+    on the periodic lattice (the node included), shape (nodes, K)."""
+    index = np.indices(shape).reshape(len(shape), -1)
+    offsets = _lattice_ball(len(shape), radius)
+    shifted = index[:, :, None] + offsets.T[:, None, :]
+    return np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_pattern(shape):
+    """Sparsity and column coloring of the residual Jacobian on ``shape``.
+
+    Returns (rows, colors): rows[j] are the residual entries that read node
+    j (the stencil is symmetric), and colors[j] is its color.  Two nodes
+    share a color only when their periodic offset lies outside the L1 ball
+    of radius 2 * reach, so their row sets are disjoint.  Nodes are colored
+    greedily in natural order.
+    """
+    rows = _periodic_neighbours(shape, _RESIDUAL_REACH)
+    conflicts = _periodic_neighbours(shape, 2 * _RESIDUAL_REACH)
+    colors = np.full(len(conflicts), -1)
+    free = np.ones(conflicts.shape[1] + 1, dtype=bool)
+    for node, near in enumerate(conflicts):
+        taken = colors[near]
+        taken = taken[taken >= 0]
+        free[taken] = False
+        colors[node] = int(np.argmax(free))
+        free[taken] = True
+    rows.flags.writeable = False
+    colors.flags.writeable = False
+    return rows, colors
+
+
+def _jacobian(driver, u):
+    """Sparse Jacobian of ``driver.residual`` at u by colored central differences.
+
+    Each color costs one +eps/-eps pair of residual calls, with the step
+    scaled like a Jacobian-free matvec along the color's indicator.  Every
+    entry is divided by the step its column actually received, so the
+    rounding of u + eps does not enter the quotient.
+    """
+    rows, colors = _jacobian_pattern(u.shape)
+    n_colors = int(colors.max()) + 1
+    base = 1e-7 * (1.0 + np.linalg.norm(u.ravel()))
+    columns = np.empty((n_colors, u.size))
+    width = np.empty(u.size)
+    for color in range(n_colors):
+        seed = (colors == color).reshape(u.shape)
+        eps = base / np.sqrt(np.count_nonzero(seed))
+        plus = u + eps * seed
+        minus = u - eps * seed
+        columns[color] = (driver.residual(plus) - driver.residual(minus)).ravel()
+        width[seed.ravel()] = (plus - minus)[seed]
+    # column j holds the entries of its rows in its color's difference
+    values = columns[colors[:, None], rows] / width[:, None]
+    indptr = np.arange(0, rows.size + 1, rows.shape[1])
+    return csc_array(
+        (values.ravel(), rows.flatten(), indptr), shape=(u.size, u.size)
+    )
+
+
+def _krylov_step(driver, u, R):
+    """Inexact Newton direction: lgmres on the colored sparse Jacobian.
+
+    The Jacobian is assembled by ``_jacobian`` and handed to lgmres as a
+    linear operator; lgmres's exit info (0 = converged) is kept on the
+    driver for the iteration log.  When the Jacobian annihilates the
+    constant direction (one-parameter slice families make the problem
+    gauge-degenerate) the Krylov solution carries an arbitrary constant
+    component; it is detected with the probe J 1 and projected out so
+    iterates do not wander toward the interval ends.
     """
     config = driver.config
-    n_dof = u.size
-    base_norm = np.linalg.norm(u.ravel())
     rnorm = float(np.max(np.abs(R)))
-
-    def matvec(v):
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-        eps = 1e-7 * (1.0 + base_norm) / vnorm
-        shaped = v.reshape(u.shape)
-        plus = driver.residual(u + eps * shaped)
-        minus = driver.residual(u - eps * shaped)
-        return ((plus - minus) / (2.0 * eps)).ravel()
-
     try:
-        probe = matvec(np.ones(n_dof))
-        constant_is_null = float(np.max(np.abs(probe))) <= 1e-8 * max(1.0, rnorm)
-    except Exception:
+        J = _jacobian(driver, u)
+    except _STEP_ERRORS:
         return None
+    probe = J @ np.ones(u.size)
+    constant_is_null = float(np.max(np.abs(probe))) <= 1e-8 * max(1.0, rnorm)
 
-    op = LinearOperator((n_dof, n_dof), matvec=matvec)
     inner_m = 10
     maxiter = max(1, config.krylov_maxiter // inner_m)
     try:
-        d, _ = lgmres(
-            op,
+        d, driver.krylov_info = lgmres(
+            aslinearoperator(J),
             -R.ravel(),
             rtol=config.krylov_rtol,
             atol=0.0,
             inner_m=inner_m,
             maxiter=maxiter,
         )
-    except Exception:
+    except _STEP_ERRORS:
         return None
     if not np.all(np.isfinite(d)):
         return None
@@ -294,7 +371,7 @@ def _line_search(driver, u, R, rnorm, direction):
         if driver.admissible(candidate):
             try:
                 R_new = driver.residual(candidate)
-            except Exception:
+            except _STEP_ERRORS:
                 R_new = None
             if R_new is not None:
                 rnorm_new = float(np.max(np.abs(R_new)))
@@ -475,7 +552,8 @@ def solve(model, config):
         if stepped is not None:
             u, R, rnorm, lam = stepped
             best_rnorm = min(best_rnorm, rnorm)
-            driver.record("newton", u, rnorm, lam)
+            entry = driver.record("newton", u, rnorm, lam)
+            entry["krylov_info"] = int(driver.krylov_info)
             continue
 
         u, R, rnorm, endpoint = _fallback_sweeps(driver, u, R, rnorm, state)

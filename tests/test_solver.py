@@ -11,6 +11,7 @@ from twistbench import (
     SpacelikeError,
     certificate_check,
     default_model,
+    random_trig_graph,
     residual_field,
     rigidity_report,
     solve,
@@ -198,6 +199,88 @@ class TestSolve:
         fallback = [e for e in outcome.log if e["phase"] == "fallback"]
         assert fallback
         assert all(e["dtf_H_min"] >= -1e-10 for e in fallback)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize(
+        "shape", [(9,), (128,), (10, 12), (64, 64), (8, 8, 8)]
+    )
+    def test_same_colored_columns_share_no_row(self, shape):
+        rows, colors = solver_mod._jacobian_pattern(shape)
+        cols = np.repeat(np.arange(colors.size), rows.shape[1])
+        assert rows.shape == (colors.size, {1: 5, 2: 13, 3: 25}[len(shape)])
+        # every (row, color) pair is hit by exactly one column
+        pairs = np.unique(np.stack([rows.ravel(), colors[cols]]), axis=1)
+        assert pairs.shape[1] == rows.size
+
+    @pytest.mark.parametrize(
+        "dim, m, curved, target",
+        [
+            (1, 32, False, 0.0),
+            (1, 32, True, "generalized"),
+            (2, 12, True, 0.0),
+            (2, 12, False, "generalized"),
+            (3, 8, True, 0.0),
+        ],
+    )
+    def test_matches_directional_derivative(self, dim, m, curved, target):
+        model = default_model(dim, resolution=m, curved=curved, twist="separable_gauss")
+        u = random_trig_graph(model, seed=3, amplitude=0.05).u
+        driver = solver_mod._Driver(model, SolveConfig(target=target))
+        J = solver_mod._jacobian(driver, u)
+        rng = np.random.default_rng(dim)
+        h = 1e-6
+        for _ in range(3):
+            v = rng.standard_normal(u.shape)
+            fd = (
+                residual_field(GraphField(model, u + h * v), target)
+                - residual_field(GraphField(model, u - h * v), target)
+            ) / (2.0 * h)
+            Jv = (J @ v.ravel()).reshape(u.shape)
+            assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_maximal_2d_solve_uses_few_residual_evaluations(self, monkeypatch):
+        calls = []
+        real = solver_mod.residual_field
+
+        def counting(graph, target=0.0):
+            calls.append(1)
+            return real(graph, target)
+
+        monkeypatch.setattr(solver_mod, "residual_field", counting)
+        model = default_model(2, resolution=64, twist="separable_gauss")
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
+        outcome = solve(model, cfg)
+        assert outcome.tag == "converged"
+        assert len(calls) < 400
+
+    def test_builder_fault_propagates(self, monkeypatch):
+        # a programming error must not be read as "fall back to relaxation"
+        def broken(driver, u):
+            raise IndexError("broken assembly")
+
+        monkeypatch.setattr(solver_mod, "_jacobian", broken)
+        model = transition_model()
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
+        with pytest.raises(IndexError):
+            solve(model, cfg)
+
+    def test_newton_entries_carry_krylov_info(self):
+        model = transition_model()
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
+        newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
+        assert newton
+        assert all(e["krylov_info"] == 0 for e in newton)
+        # the expanding model's singular steps run lgmres to its budget
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        cfg = SolveConfig(
+            target=0.0,
+            initial={"kind": "random_trig", "seed": 3, "amplitude": 0.1},
+            check_certificate=False,
+        )
+        newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
+        assert newton
+        assert all(e["krylov_info"] > 0 for e in newton)
 
 
 class TestRigidityReport:
