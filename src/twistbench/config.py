@@ -7,6 +7,7 @@ be fed back to reproduce the run.
 """
 
 import copy
+import functools
 import json
 
 import jsonschema
@@ -295,10 +296,18 @@ def load_config(path):
     return validate(raw)
 
 
+@functools.cache
+def _validator():
+    """The SCHEMA validator, with the schema itself checked once per process."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def validate(raw):
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the same error jsonschema.validate would raise, without re-checking SCHEMA
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if exc is not None:
         location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {location}: {exc.message}") from exc
     task = raw["task"]

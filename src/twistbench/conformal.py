@@ -17,9 +17,9 @@ import numpy as np
 from .errors import DomainError
 from .graphs import (
     _kit,
+    _mean_curvature,
     coordinate_laplacian,
     laplacian_tau_fiber,
-    mean_curvature,
 )
 from .profiles import TrigPolynomial
 
@@ -79,7 +79,7 @@ class ConformalFactor:
         if self.kind == "neg_log_twist":
             return -self.power * np.log(self.twist.value(t, grid))
         return np.broadcast_to(
-            self.fiber_profile.value(*grid.coords),
+            grid.sample(self.fiber_profile),
             np.broadcast(np.asarray(t), grid.coords[0]).shape,
         ).copy()
 
@@ -96,7 +96,7 @@ class ConformalFactor:
             return -self.power * self.twist.fiber_partials(t, grid) / f[..., None]
         if self.kind == "fiber":
             for i in range(grid.dim):
-                out[..., i] = self.fiber_profile.partial(i, *grid.coords)
+                out[..., i] = grid.sample(self.fiber_profile, i)
         return out
 
 
@@ -118,7 +118,7 @@ def transform_mean_curvature(graph, phi):
     |H'| <= max(f) * epsilon.
     """
     kit = _kit(graph)
-    H1 = mean_curvature(graph)
+    H1 = _mean_curvature(kit)
     phi_vals = phi.value(kit.u, kit.grid)
     return np.exp(-phi_vals) * (H1 + _normal_derivative(kit, phi))
 
@@ -267,7 +267,7 @@ def maximal_power_check(graph, h_tol=1e-8):
     n = grid.dim
     if n != 3:
         raise DomainError("the power rescaling check needs a 3-dimensional fiber")
-    h_max = float(np.max(np.abs(mean_curvature(graph))))
+    h_max = float(np.max(np.abs(_mean_curvature(kit))))
     if h_max > h_tol:
         raise DomainError(
             f"input is not maximal: sup |H| = {h_max:.3e} exceeds {h_tol:.1e}"

@@ -85,6 +85,7 @@ class FiberGrid:
         self.sqrt_det = np.sqrt(self.det_metric)
         self.cell_volume = float(np.prod(self.spacing))
         self.weights = self.sqrt_det * self.cell_volume
+        self._samples = {}
 
     # ------------------------------------------------------------------
     # basic queries
@@ -119,6 +120,23 @@ class FiberGrid:
         for i in range(self.dim):
             g[..., i, i] = self.metric_diag[..., i]
         return g
+
+    def sample(self, poly, axis=None):
+        """Node values of a fiber profile (``axis`` None) or of its partial.
+
+        ``poly`` is a ``TrigPolynomial``; the samples are computed once per
+        grid and returned read-only, since a profile never changes.
+        """
+        key = (poly, axis)
+        values = self._samples.get(key)
+        if values is None:
+            if axis is None:
+                values = poly.value(*self.coords)
+            else:
+                values = poly.partial(axis, *self.coords)
+            values.flags.writeable = False
+            self._samples[key] = values
+        return values
 
     # ------------------------------------------------------------------
     # stencils

@@ -114,9 +114,12 @@ class _Kit:
 
     def metric(self):
         """Induced metric matrices g_ij = -D_i u D_j u + f^2 (g_F)_ij."""
-        grid = self.grid
-        g = (self.f * self.f)[..., None, None] * grid.metric_matrix()
-        g -= self.du[..., :, None] * self.du[..., None, :]
+        g = self.du[..., :, None] * self.du[..., None, :]
+        # 0 - x rather than -x: zero off-diagonal products stay +0.0
+        np.subtract(0.0, g, out=g)
+        f_sq = self.f * self.f
+        for i in range(self.n):
+            g[..., i, i] += f_sq * self.grid.metric_diag[..., i]
         return g
 
     def det_factored(self):
@@ -239,10 +242,9 @@ def laplacian_tau_coordinate(graph):
 
     Assembles g per node, solves for the metric gradient directly (not via
     the closed form) and applies the divergence-form stencil with weight
-    sqrt(det g).
+    sqrt(det g).  The kit is released before the per-node factorizations.
     """
-    kit = _kit(graph)
-    return coordinate_laplacian(kit.grid, kit.metric(), kit.u)
+    return coordinate_laplacian(graph.grid, _kit(graph).metric(), graph.u)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,11 @@ def mean_curvature(graph):
     slice all gradient terms vanish identically and H reduces to
     d/dt log f (t0, x) exactly.
     """
-    kit = _kit(graph)
+    return _mean_curvature(_kit(graph))
+
+
+def _mean_curvature(kit):
+    """``mean_curvature`` from a kit the caller already holds."""
     grid = kit.grid
     n = kit.n
     div = grid.divergence(kit.rho[..., None] * kit.grad_u)
@@ -298,8 +304,8 @@ def mean_curvature_from_laplacian(graph):
     lap tau from the coordinate path, hence fully independent of the
     fiber-form flux evaluation above.
     """
-    kit = _kit(graph)
     lap = laplacian_tau_coordinate(graph)
+    kit = _kit(graph)
     return (lap + (kit.n + kit.sinh_sq) * kit.dlogf) / (kit.n * kit.cosh)
 
 
@@ -432,7 +438,7 @@ class SliceConditionReport:
 
 def slice_condition_report(graph, tol=1e-12):
     kit = _kit(graph)
-    H = mean_curvature(graph)
+    H = _mean_curvature(kit)
     gap = kit.dlogf - H * kit.cosh
     expanding_case = bool(np.all(kit.dtf >= -tol) and np.all(gap >= -tol))
     contracting_case = bool(np.all(kit.dtf <= tol) and np.all(gap <= tol))
@@ -504,7 +510,7 @@ def geometry_report(graph):
         rho=kit.rho,
         cosh_theta=kit.cosh,
         sinh_sq=kit.sinh_sq,
-        mean_curvature=mean_curvature(graph),
+        mean_curvature=_mean_curvature(kit),
         laplacian_tau=laplacian_tau_fiber(graph),
         metric=g,
         det_direct=np.linalg.det(g),

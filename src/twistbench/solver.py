@@ -27,8 +27,8 @@ from .errors import DomainError, SpacelikeError
 from .graphs import (
     GraphField,
     _kit,
+    _mean_curvature,
     geometry_report,
-    mean_curvature,
     mean_curvature_from_laplacian,
     spacelike_margin,
 )
@@ -124,8 +124,7 @@ def _target_field(kit, target):
 def residual_field(graph, target=0.0):
     """Residual n (H[u] - target), pointwise on the fiber."""
     kit = _kit(graph)
-    H = mean_curvature(graph)
-    return kit.n * (H - _target_field(kit, target))
+    return kit.n * (_mean_curvature(kit) - _target_field(kit, target))
 
 
 def certificate_check(model, h0, t_samples=256):
@@ -189,8 +188,7 @@ class _Driver:
     def record(self, phase, values, rnorm, step):
         graph = GraphField(self.model, values)
         kit = _kit(graph)
-        H = mean_curvature(graph)
-        product = kit.dtf * H
+        product = kit.dtf * _mean_curvature(kit)
         entry = {
             "iter": self.step_count,
             "phase": phase,
@@ -410,7 +408,7 @@ def _fallback_sweeps(driver, u, R, rnorm, state):
             break
         graph = GraphField(driver.model, u)
         kit = _kit(graph)
-        flow = kit.cosh * (mean_curvature(graph) - _target_field(kit, config.target))
+        flow = kit.cosh * (_mean_curvature(kit) - _target_field(kit, config.target))
         peak = float(np.max(np.abs(flow)))
         if peak == 0.0:
             break
@@ -448,7 +446,7 @@ def _verify_converged(driver, u, rnorm):
     graph = GraphField(driver.model, u)
     kit = _kit(graph)
     target = _target_field(kit, config.target)
-    r_primary = float(np.max(np.abs(kit.n * (mean_curvature(graph) - target))))
+    r_primary = float(np.max(np.abs(kit.n * (_mean_curvature(kit) - target))))
     r_secondary = float(
         np.max(np.abs(kit.n * (mean_curvature_from_laplacian(graph) - target)))
     )

@@ -69,10 +69,10 @@ class TwistedFunction:
     # -- fiber-profile samples -------------------------------------------
 
     def _s_values(self, grid):
-        return self.s.value(*grid.coords)
+        return grid.sample(self.s)
 
     def _s_partial(self, grid, axis):
-        return self.s.partial(axis, *grid.coords)
+        return grid.sample(self.s, axis)
 
     def _traveling_phase(self, t, grid):
         if grid.dim != 1:

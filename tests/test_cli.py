@@ -269,3 +269,48 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
+
+
+def _scrubbed_python(code, **env):
+    """Run ``code`` in a fresh interpreter that sees only this package."""
+    package_root = Path(twistbench.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root), **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestThreadCap:
+    def test_importing_the_cli_does_not_load_numpy(self):
+        result = _scrubbed_python(
+            "import json, sys\n"
+            "import twistbench.cli\n"
+            "before = 'numpy' in sys.modules\n"
+            "import twistbench\n"
+            "print(json.dumps({'before': before, 'solve': twistbench.solve.__module__,\n"
+            "                  'after': 'numpy' in sys.modules}))\n"
+        )
+        assert result == {"before": False, "solve": "twistbench.solver", "after": True}
+
+    def test_cap_is_in_the_environment_when_numpy_loads(self, tmp_path):
+        cfg = base_config("geometry", tmp_path / "out")
+        cfg["geometry"] = {"initializer": {"kind": "constant", "value": 0.1}}
+        path = write_config(tmp_path, cfg)
+        result = _scrubbed_python(
+            "import json, os, sys\n"
+            "seen = {}\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen['cap'] = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from twistbench.cli import main\n"
+            f"code = main(['geometry', '--config', {str(path)!r}])\n"
+            "print(json.dumps({'code': code, **seen}))\n",
+            TWISTBENCH_THREADS="1",
+        )
+        assert result == {"code": 0, "cap": "1"}

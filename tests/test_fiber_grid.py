@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistbench import FiberGrid
+from twistbench import ConformalFactor, FiberGrid, TimeProfile, TrigPolynomial, TwistedFunction
 
 from conftest import random_trig_field, unit_torus
 
@@ -176,3 +176,75 @@ class TestValidation:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             grid1d.check_scalar(bad)
+
+
+@pytest.fixture
+def count_trig_evals(monkeypatch):
+    """Count TrigPolynomial.value / .partial calls while the test runs."""
+    calls = {"value": 0, "partial": 0}
+    for name in calls:
+        original = getattr(TrigPolynomial, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(TrigPolynomial, name, counted)
+    return calls
+
+
+def two_mode_profile(grid):
+    return TrigPolynomial.from_specs(
+        [
+            {"coeff": 0.7, "wavevec": (1, 2), "phase": 0.3},
+            {"coeff": -0.2, "wavevec": (0, 1)},
+        ],
+        grid.periods,
+    )
+
+
+class TestProfileSamples:
+    def test_each_key_is_evaluated_once(self, grid2d, count_trig_evals):
+        poly = two_mode_profile(grid2d)
+        for _ in range(3):
+            grid2d.sample(poly)
+            grid2d.sample(poly, 0)
+            grid2d.sample(poly, 1)
+        assert count_trig_evals == {"value": 1, "partial": 2}
+        # an equal profile built separately is the same key
+        grid2d.sample(two_mode_profile(grid2d), 1)
+        assert count_trig_evals == {"value": 1, "partial": 2}
+
+    def test_samples_equal_direct_evaluation_and_are_read_only(self, grid2d):
+        poly = two_mode_profile(grid2d)
+        cases = [(None, poly.value(*grid2d.coords))] + [
+            (axis, poly.partial(axis, *grid2d.coords)) for axis in range(2)
+        ]
+        for axis, direct in cases:
+            cached = grid2d.sample(poly, axis)
+            assert np.array_equal(cached, direct)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+            assert np.array_equal(grid2d.sample(poly, axis), direct)
+
+    def test_refined_grid_does_not_share_samples(self, grid2d, count_trig_evals):
+        poly = two_mode_profile(grid2d)
+        coarse = grid2d.sample(poly)
+        fine_grid = grid2d.refined()
+        fine = fine_grid.sample(poly)
+        assert count_trig_evals["value"] == 2
+        assert fine.shape == fine_grid.shape != coarse.shape
+        assert np.array_equal(fine, poly.value(*fine_grid.coords))
+
+    def test_twist_and_conformal_factor_read_the_cache(self, grid2d, count_trig_evals):
+        poly = two_mode_profile(grid2d)
+        twist = TwistedFunction("separable", g=TimeProfile("gauss"), eps=0.1, s=poly)
+        phi = ConformalFactor.fiber_only(poly)
+        for t in (0.1, 0.2, 0.3):
+            twist.value(t, grid2d)
+            twist.dt(t, grid2d)
+            twist.fiber_partials(t, grid2d)
+            phi.value(t, grid2d)
+            phi.fiber_partials(t, grid2d)
+        assert count_trig_evals == {"value": 1, "partial": 2}

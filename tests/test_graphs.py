@@ -7,6 +7,7 @@ from twistbench import (
     SpacelikeError,
     area,
     area_gradient_check,
+    coordinate_laplacian,
     default_model,
     geometry_report,
     grad_tau,
@@ -138,6 +139,29 @@ class TestInducedMetric:
         result = induced_metric(graph)
         expected = 1.0 - kit.du[..., 0] ** 2
         assert np.max(np.abs(result.det_direct - expected)) <= 1e-14
+
+    def test_kit_metric_is_bitwise_the_assembled_form(self):
+        model = default_model(3, resolution=12, twist="separable_gauss", curved=True)
+        for graph in (
+            random_trig_graph(model, seed=5, amplitude=0.08),
+            GraphField.constant(model, 0.3),
+        ):
+            kit = _kit(graph)
+            expected = (kit.f * kit.f)[..., None, None] * model.fiber.metric_matrix()
+            expected -= kit.du[..., :, None] * kit.du[..., None, :]
+            got = kit.metric()
+            assert np.array_equal(got, expected)
+            # signed zeros included: the slice's off-diagonal entries are +0.0
+            assert got.tobytes() == expected.tobytes()
+
+    def test_coordinate_laplacian_path_unchanged(self):
+        model = default_model(3, resolution=12, twist="separable_gauss", curved=True)
+        graph = random_trig_graph(model, seed=6, amplitude=0.08)
+        kit = _kit(graph)
+        expected = coordinate_laplacian(model.fiber, kit.metric(), graph.u)
+        assert np.array_equal(laplacian_tau_coordinate(graph), expected)
+        H = (expected + (kit.n + kit.sinh_sq) * kit.dlogf) / (kit.n * kit.cosh)
+        assert np.array_equal(mean_curvature_from_laplacian(graph), H)
 
     def test_two_path_determinant_agreement(self):
         for dim, m in [(1, 128), (2, 32), (3, 12)]:

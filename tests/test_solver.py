@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import twistbench.graphs as graphs_mod
 import twistbench.solver as solver_mod
 from twistbench import (
     DomainError,
@@ -11,6 +12,7 @@ from twistbench import (
     SpacelikeError,
     certificate_check,
     default_model,
+    mean_curvature,
     random_trig_graph,
     residual_field,
     rigidity_report,
@@ -41,6 +43,29 @@ class TestResidual:
         model = default_model(1, twist="grw_gauss")
         R = residual_field(GraphField.constant(model, 0.5), target=0.0)
         assert np.max(np.abs(R + 1.0)) <= 1e-12
+
+    def test_one_kit_per_residual(self, monkeypatch):
+        model = default_model(2, resolution=16, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=4, amplitude=0.05)
+        expected = {}
+        for target in (0.0, 0.2, "generalized"):
+            kit = graphs_mod._kit(graph)
+            expected[target] = kit.n * (
+                mean_curvature(graph) - solver_mod._target_field(kit, target)
+            )
+
+        builds = []
+        init = graphs_mod._Kit.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(graphs_mod._Kit, "__init__", counted)
+        for target, R in expected.items():
+            builds.clear()
+            assert np.array_equal(residual_field(graph, target=target), R)
+            assert len(builds) == 1
 
     def test_nonspacelike_input_raises(self):
         model = flat_grw_model()
