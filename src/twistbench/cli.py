@@ -93,7 +93,7 @@ def _outcome_payload(outcome, cfg):
 
 
 def _run_solve(model, cfg, out_dir):
-    from dataclasses import asdict
+    from dataclasses import asdict, fields
 
     from .initializers import resolve_initializer
     from .serialize import (
@@ -106,26 +106,9 @@ def _run_solve(model, cfg, out_dir):
 
     block = cfg["solve"]
     graph0 = resolve_initializer(model, _initializer_spec(block, cfg["seed"]))
+    options = {f.name for f in fields(SolveConfig)} - {"initial"}
     solve_cfg = SolveConfig(
-        target=block["target"],
-        initial=graph0,
-        **{
-            key: block[key]
-            for key in (
-                "residual_tol",
-                "max_newton_iters",
-                "krylov_rtol",
-                "krylov_maxiter",
-                "spacelike_cap",
-                "interval_margin",
-                "check_certificate",
-                "certificate_samples",
-                "fallback_chunk",
-                "fallback_max_sweeps",
-                "drift_window",
-            )
-            if key in block
-        },
+        initial=graph0, **{key: value for key, value in block.items() if key in options}
     )
     outcome = solve(model, solve_cfg)
 

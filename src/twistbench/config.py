@@ -357,30 +357,15 @@ def _build_metric_coeffs(metric_cfg, dim, periods):
     return coeffs
 
 
-def _build_time_profile(cfg):
-    return TimeProfile(cfg["kind"], dict(cfg.get("params", {})))
-
-
 def _build_twist(cfg, periods):
-    family = cfg["family"]
-    if family == "pure_time":
-        return TwistedFunction("pure_time", g=_build_time_profile(cfg["g"]))
-    if family == "separable":
-        return TwistedFunction(
-            "separable",
-            g=_build_time_profile(cfg["g"]),
-            eps=cfg["eps"],
-            s=TrigPolynomial.from_specs(cfg["s"]["modes"], periods),
-        )
-    if family == "additive":
-        return TwistedFunction(
-            "additive",
-            g=_build_time_profile(cfg["g"]),
-            eps=cfg["eps"],
-            s=TrigPolynomial.from_specs(cfg["s"]["modes"], periods),
-            q=_build_time_profile(cfg["q"]),
-        )
-    return TwistedFunction("traveling", amp=cfg["amp"], period=cfg["period"])
+    # the schema's oneOf already fixes which keys each family carries
+    args = dict(cfg)
+    for key in ("g", "q"):
+        if key in args:
+            args[key] = TimeProfile(args[key]["kind"], dict(args[key].get("params", {})))
+    if "s" in args:
+        args["s"] = TrigPolynomial.from_specs(args["s"]["modes"], periods)
+    return TwistedFunction(**args)
 
 
 def build_model(cfg):

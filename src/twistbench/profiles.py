@@ -63,23 +63,6 @@ class TimeProfile:
             return -np.tanh(t) / np.cosh(t)
         return -2.0 * t * np.exp(-t * t)
 
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        if self.kind == "linear":
-            return np.zeros_like(t)
-        if self.kind == "exp":
-            rate = self.params.get("rate", 1.0)
-            return rate * rate * np.exp(rate * t)
-        if self.kind == "cosh":
-            return np.cosh(t)
-        if self.kind == "sech":
-            sech = 1.0 / np.cosh(t)
-            tanh = np.tanh(t)
-            return sech * (tanh * tanh - sech * sech)
-        return (4.0 * t * t - 2.0) * np.exp(-t * t)
-
 
 @dataclass(frozen=True)
 class TrigPolynomial:

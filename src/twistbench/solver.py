@@ -420,8 +420,7 @@ def _fallback_sweeps(driver, u, R, rnorm, state):
         accepted = None
         for _ in range(16):
             candidate = np.clip(u + ds * flow, driver.lo, driver.hi)
-            graph_c = GraphField(driver.model, candidate)
-            if float(spacelike_margin(graph_c).max()) <= config.spacelike_cap:
+            if driver.admissible(candidate):
                 R_new = driver.residual(candidate)
                 rnorm_new = float(np.max(np.abs(R_new)))
                 if rnorm_new <= 1.05 * rnorm:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .profiles import TimeProfile, TrigPolynomial
 
 __all__ = [
     "TwistedFunction",
@@ -26,7 +25,17 @@ __all__ = [
     "slice_umbilicity",
 ]
 
-_FAMILIES = ("pure_time", "separable", "additive", "traveling")
+# required constructor arguments of each family, with what each one is
+_REQUIRED = {
+    "pure_time": (("g", "a time profile g"),),
+    "separable": (("g", "a time profile g"), ("s", "a fiber profile s")),
+    "additive": (
+        ("g", "a time profile g"),
+        ("s", "a fiber profile s"),
+        ("q", "a time profile q"),
+    ),
+    "traveling": (),
+}
 
 SIGN_TOL = 1e-12  # |d/dt f| below this counts as zero in classifications
 
@@ -48,7 +57,7 @@ class TwistedFunction:
     """
 
     def __init__(self, family, g=None, eps=0.0, s=None, q=None, amp=0.0, period=1.0):
-        if family not in _FAMILIES:
+        if family not in _REQUIRED:
             raise ValueError(f"unknown twist family {family!r}")
         self.family = family
         self.g = g
@@ -57,22 +66,11 @@ class TwistedFunction:
         self.eps = float(eps)
         self.amp = float(amp)
         self.period = float(period)
-        if family in ("pure_time", "separable", "additive") and g is None:
-            raise ValueError(f"family {family!r} needs a time profile g")
-        if family in ("separable", "additive") and s is None:
-            raise ValueError(f"family {family!r} needs a fiber profile s")
-        if family == "additive" and q is None:
-            raise ValueError("family 'additive' needs a time profile q")
+        for name, what in _REQUIRED[family]:
+            if getattr(self, name) is None:
+                raise ValueError(f"family {family!r} needs {what}")
         if family == "traveling" and not abs(amp) < 1.0:
             raise ValueError("traveling twist needs |amp| < 1")
-
-    # -- fiber-profile samples -------------------------------------------
-
-    def _s_values(self, grid):
-        return grid.sample(self.s)
-
-    def _s_partial(self, grid, axis):
-        return grid.sample(self.s, axis)
 
     def _traveling_phase(self, t, grid):
         if grid.dim != 1:
@@ -82,38 +80,27 @@ class TwistedFunction:
 
     # -- evaluators --------------------------------------------------------
 
-    def value(self, t, grid):
+    def _time_derivative(self, t, grid, order):
+        """d^order f / dt^order at (t, x), for order 0 or 1."""
         t = np.asarray(t, dtype=float)
+        if self.family == "traveling":
+            w, phase = self._traveling_phase(t, grid)
+            if order:
+                return self.amp * w * np.cos(phase)
+            return 1.0 + self.amp * np.sin(phase)
+        g = (self.g.value, self.g.deriv)[order](t)
         if self.family == "pure_time":
-            return np.broadcast_to(self.g.value(t), np.broadcast(t, grid.coords[0]).shape).copy()
+            return np.broadcast_to(g, np.broadcast(t, grid.coords[0]).shape).copy()
+        # g (1 + eps s) and g + eps s q round differently: keep both forms
         if self.family == "separable":
-            return self.g.value(t) * (1.0 + self.eps * self._s_values(grid))
-        if self.family == "additive":
-            return self.g.value(t) + self.eps * self._s_values(grid) * self.q.value(t)
-        w, phase = self._traveling_phase(t, grid)
-        return 1.0 + self.amp * np.sin(phase)
+            return g * (1.0 + self.eps * grid.sample(self.s))
+        return g + self.eps * grid.sample(self.s) * (self.q.value, self.q.deriv)[order](t)
+
+    def value(self, t, grid):
+        return self._time_derivative(t, grid, 0)
 
     def dt(self, t, grid):
-        t = np.asarray(t, dtype=float)
-        if self.family == "pure_time":
-            return np.broadcast_to(self.g.deriv(t), np.broadcast(t, grid.coords[0]).shape).copy()
-        if self.family == "separable":
-            return self.g.deriv(t) * (1.0 + self.eps * self._s_values(grid))
-        if self.family == "additive":
-            return self.g.deriv(t) + self.eps * self._s_values(grid) * self.q.deriv(t)
-        w, phase = self._traveling_phase(t, grid)
-        return self.amp * w * np.cos(phase)
-
-    def dt2(self, t, grid):
-        t = np.asarray(t, dtype=float)
-        if self.family == "pure_time":
-            return np.broadcast_to(self.g.deriv2(t), np.broadcast(t, grid.coords[0]).shape).copy()
-        if self.family == "separable":
-            return self.g.deriv2(t) * (1.0 + self.eps * self._s_values(grid))
-        if self.family == "additive":
-            return self.g.deriv2(t) + self.eps * self._s_values(grid) * self.q.deriv2(t)
-        w, phase = self._traveling_phase(t, grid)
-        return -self.amp * w * w * np.sin(phase)
+        return self._time_derivative(t, grid, 1)
 
     def fiber_partials(self, t, grid):
         """Exact partials (d f / d x_i), shape ``grid.shape + (n,)``."""
@@ -122,45 +109,23 @@ class TwistedFunction:
         out = np.zeros(shape + (grid.dim,))
         if self.family == "pure_time":
             return out
-        if self.family == "separable":
+        if self.family == "traveling":
+            w, phase = self._traveling_phase(t, grid)
+            out[..., 0] = self.amp * w * np.cos(phase)
+        elif self.family == "separable":
+            g_eps = self.g.value(t) * self.eps
             for i in range(grid.dim):
-                out[..., i] = self.g.value(t) * self.eps * self._s_partial(grid, i)
-            return out
-        if self.family == "additive":
+                out[..., i] = g_eps * grid.sample(self.s, i)
+        else:
+            q = self.q.value(t)
             for i in range(grid.dim):
-                out[..., i] = self.eps * self._s_partial(grid, i) * self.q.value(t)
-            return out
-        w, phase = self._traveling_phase(t, grid)
-        out[..., 0] = self.amp * w * np.cos(phase)
-        return out
-
-    def dt_fiber_partials(self, t, grid):
-        """Exact mixed partials (d^2 f / dt dx_i)."""
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast(t, grid.coords[0]).shape
-        out = np.zeros(shape + (grid.dim,))
-        if self.family == "pure_time":
-            return out
-        if self.family == "separable":
-            for i in range(grid.dim):
-                out[..., i] = self.g.deriv(t) * self.eps * self._s_partial(grid, i)
-            return out
-        if self.family == "additive":
-            for i in range(grid.dim):
-                out[..., i] = self.eps * self._s_partial(grid, i) * self.q.deriv(t)
-            return out
-        w, phase = self._traveling_phase(t, grid)
-        out[..., 0] = -self.amp * w * w * np.sin(phase)
+                out[..., i] = self.eps * grid.sample(self.s, i) * q
         return out
 
     # -- conveniences -------------------------------------------------------
 
     def dlog_dt(self, t, grid):
         return self.dt(t, grid) / self.value(t, grid)
-
-    def fiber_gradient(self, t, grid):
-        """Metric gradient of f on the fiber, (grad f)^i = G_i^{-1} d_i f."""
-        return self.fiber_partials(t, grid) / grid.metric_diag
 
     def fiber_grad_norm(self, t, grid):
         """Pointwise |grad_F f| with respect to the fiber metric."""
@@ -195,7 +160,7 @@ class SpacetimeModel:
             if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
                 raise ValueError(f"twist function is not positive near t={t:.6g}")
         if self.twist.family == "separable":
-            s_max = float(np.max(np.abs(self.twist._s_values(self.fiber))))
+            s_max = float(np.max(np.abs(self.fiber.sample(self.twist.s))))
             if abs(self.twist.eps) * s_max >= 1.0:
                 raise ValueError("separable twist needs |eps| * max|s| < 1")
 

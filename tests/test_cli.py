@@ -181,6 +181,50 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(write_config(tmp_path, cfg))])
         assert code == 4
 
+    def test_schema_options_are_solve_config_fields(self):
+        from dataclasses import fields
+
+        from twistbench.config import SCHEMA
+        from twistbench.solver import SolveConfig
+
+        options = set(SCHEMA["properties"]["solve"]["properties"]) - {"initializer"}
+        assert options <= {f.name for f in fields(SolveConfig)}
+
+    def test_every_schema_option_reaches_solve_config(self, tmp_path, monkeypatch):
+        from twistbench import solver
+        from twistbench.config import SCHEMA
+
+        settings = {
+            "target": "generalized",
+            "residual_tol": 3e-9,
+            "max_newton_iters": 7,
+            "krylov_rtol": 2e-7,
+            "krylov_maxiter": 33,
+            "spacelike_cap": 0.9,
+            "interval_margin": 2e-5,
+            "check_certificate": False,
+            "certificate_samples": 40,
+            "fallback_chunk": 5,
+            "fallback_max_sweeps": 11,
+            "drift_window": 4,
+        }
+        assert set(settings) == set(SCHEMA["properties"]["solve"]["properties"]) - {"initializer"}
+        seen = []
+
+        def capture(model, config):
+            seen.append(config)
+            return solver.SolveOutcome("not_converged", residual_norm=1.0)
+
+        monkeypatch.setattr(solver, "solve", capture)
+        out = tmp_path / "out"
+        cfg = base_config("solve", out)
+        cfg["solve"] = {"initializer": {"kind": "constant", "value": 0.1}, **settings}
+        assert main(["solve", "--config", str(write_config(tmp_path, cfg))]) == 4
+        (config,) = seen
+        for key, value in settings.items():
+            assert getattr(config, key) == value, key
+        assert np.all(config.initial.u == 0.1)
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, tmp_path, capsys):

@@ -14,22 +14,23 @@ from twistbench import (
     slice_umbilicity,
     torqued_one_form,
 )
+from twistbench.verify import _spectral_diff
 
 from conftest import ripple, unit_torus
 
 
+STANDARD_TWISTS = (
+    "grw_exp",
+    "grw_gauss",
+    "separable_gauss",
+    "separable_exp",
+    "additive",
+    "traveling",
+)
+
+
 def all_builtin_models():
-    return {
-        name: default_model(1, resolution=64, twist=name)
-        for name in (
-            "grw_exp",
-            "grw_gauss",
-            "separable_gauss",
-            "separable_exp",
-            "additive",
-            "traveling",
-        )
-    }
+    return {name: default_model(1, resolution=64, twist=name) for name in STANDARD_TWISTS}
 
 
 class TestClassify:
@@ -109,21 +110,50 @@ class TestExactDerivatives:
             scale = np.maximum(1.0, np.abs(exact))
             assert np.max(np.abs(fd - exact) / scale) <= 1e-8
 
-    @pytest.mark.parametrize("name", ["grw_gauss", "separable_gauss", "additive", "traveling"])
-    def test_dt2_and_mixed_partials(self, name):
-        model = default_model(1, resolution=64, twist=name, interval=(-1.0, 1.0))
+    @pytest.mark.parametrize("curved", [False, True])
+    @pytest.mark.parametrize(
+        "name, dim",
+        [(name, dim) for name in STANDARD_TWISTS for dim in (1, 2, 3)
+         if name != "traveling" or dim == 1],
+    )
+    def test_fiber_partials_against_spectral_derivative(self, name, dim, curved):
+        # at fixed t every family is a trig polynomial in x, so the Fourier
+        # derivative of the sampled value is exact up to round-off
+        model = default_model(dim, twist=name, curved=curved)
         grid = model.fiber
-        delta = 1e-5
-        for t in (-0.5, 0.1, 0.7):
-            fd2 = (
-                model.twist.dt(t + delta, grid) - model.twist.dt(t - delta, grid)
-            ) / (2 * delta)
-            assert np.max(np.abs(fd2 - model.twist.dt2(t, grid))) <= 1e-6
-            fd_mixed = (
-                model.twist.fiber_partials(t + delta, grid)
-                - model.twist.fiber_partials(t - delta, grid)
-            ) / (2 * delta)
-            assert np.max(np.abs(fd_mixed - model.twist.dt_fiber_partials(t, grid))) <= 1e-6
+        for t in (-0.9, 0.2, 1.3):
+            partials = model.twist.fiber_partials(t, grid)
+            assert partials.shape == grid.shape + (dim,)
+            values = model.twist.value(t, grid)
+            for i in range(dim):
+                spectral = _spectral_diff(grid, values, i)
+                assert np.max(np.abs(partials[..., i] - spectral)) <= 1e-10, (name, i)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "family, missing, message",
+        [
+            ("pure_time", "g", "family 'pure_time' needs a time profile g"),
+            ("separable", "g", "family 'separable' needs a time profile g"),
+            ("separable", "s", "family 'separable' needs a fiber profile s"),
+            ("additive", "g", "family 'additive' needs a time profile g"),
+            ("additive", "s", "family 'additive' needs a fiber profile s"),
+            ("additive", "q", "family 'additive' needs a time profile q"),
+        ],
+    )
+    def test_each_missing_argument_is_named(self, family, missing, message):
+        args = {"g": TimeProfile("gauss"), "s": ripple(unit_torus(1, 16)), "q": TimeProfile("cosh")}
+        del args[missing]
+        with pytest.raises(ValueError) as exc:
+            TwistedFunction(family, eps=0.1, **args)
+        assert str(exc.value) == message
+
+    def test_unknown_family_and_traveling_amplitude(self):
+        with pytest.raises(ValueError, match="unknown twist family 'spiral'"):
+            TwistedFunction("spiral", g=TimeProfile("gauss"))
+        with pytest.raises(ValueError, match=r"traveling twist needs \|amp\| < 1"):
+            TwistedFunction("traveling", amp=1.0)
 
 
 class TestTorquedOneForm:
