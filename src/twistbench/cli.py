@@ -222,10 +222,7 @@ def main(argv=None):
     }[args.task]
     try:
         code = runner(model, cfg, out_dir)
-    except SpacelikeError as exc:
-        print(f"constraint error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (SpacelikeError, DomainError) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return 2
     write_metadata(out_dir / "metadata.json", task=args.task, exit_code=code)

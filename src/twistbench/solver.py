@@ -30,7 +30,6 @@ from .graphs import (
     _mean_curvature,
     geometry_report,
     mean_curvature_from_laplacian,
-    spacelike_margin,
 )
 from .initializers import resolve_initializer
 from .spacetime import classify
@@ -45,7 +44,7 @@ __all__ = [
     "RigidityReport",
 ]
 
-# errors that mean "this trial point or linear solve is unusable", as
+# errors that mean "this Newton direction cannot be built", as
 # opposed to a fault in the program, which must propagate
 _STEP_ERRORS = (SpacelikeError, DomainError, np.linalg.LinAlgError)
 
@@ -121,10 +120,13 @@ def _target_field(kit, target):
     return target
 
 
+def _residual(kit, target):
+    return kit.n * (_mean_curvature(kit) - _target_field(kit, target))
+
+
 def residual_field(graph, target=0.0):
     """Residual n (H[u] - target), pointwise on the fiber."""
-    kit = _kit(graph)
-    return kit.n * (_mean_curvature(kit) - _target_field(kit, target))
+    return _residual(_kit(graph), target)
 
 
 def certificate_check(model, h0, t_samples=256):
@@ -162,7 +164,8 @@ def certificate_check(model, h0, t_samples=256):
 
 
 class _Driver:
-    """Mutable solve state: residual closure, logging, safeguards."""
+    """Mutable solve state: trial points, logging, safeguards.  The kit a
+    ``trial`` builds travels with the iterate, so nothing rebuilds it."""
 
     def __init__(self, model, config):
         self.model = model
@@ -179,15 +182,18 @@ class _Driver:
     def residual(self, values):
         return residual_field(GraphField(self.model, values), self.config.target)
 
-    def admissible(self, values):
+    def trial(self, values):
+        """(kit, residual) at ``values``, or None when they leave the
+        interval box or their spacelike margin exceeds the cap."""
         if float(values.min()) < self.lo or float(values.max()) > self.hi:
-            return False
-        graph = GraphField(self.model, values)
-        return float(spacelike_margin(graph).max()) <= self.config.spacelike_cap
+            return None
+        kit = _kit(GraphField(self.model, values), require_spacelike=False)
+        # written as "not <=" so a NaN margin is rejected too
+        if not float(kit.mu.max()) <= self.config.spacelike_cap:
+            return None
+        return kit, _residual(kit, self.config.target)
 
-    def record(self, phase, values, rnorm, step):
-        graph = GraphField(self.model, values)
-        kit = _kit(graph)
+    def record(self, phase, kit, rnorm, step):
         product = kit.dtf * _mean_curvature(kit)
         entry = {
             "iter": self.step_count,
@@ -195,9 +201,9 @@ class _Driver:
             "residual_inf": float(rnorm),
             "step": float(step),
             "max_margin": float(kit.mu.max()),
-            "u_mean": float(values.mean()),
-            "u_min": float(values.min()),
-            "u_max": float(values.max()),
+            "u_mean": float(kit.u.mean()),
+            "u_min": float(kit.u.min()),
+            "u_max": float(kit.u.max()),
             "dtf_H_min": float(product.min()),
             "dtf_H_max": float(product.max()),
             "area": float(
@@ -365,16 +371,12 @@ def _line_search(driver, u, R, rnorm, direction):
     config = driver.config
     lam = 1.0
     while lam >= config.min_step:
-        candidate = np.clip(u + lam * direction, driver.lo, driver.hi)
-        if driver.admissible(candidate):
-            try:
-                R_new = driver.residual(candidate)
-            except _STEP_ERRORS:
-                R_new = None
-            if R_new is not None:
-                rnorm_new = float(np.max(np.abs(R_new)))
-                if rnorm_new <= (1.0 - 1e-4 * lam) * rnorm:
-                    return candidate, R_new, rnorm_new, lam
+        trial = driver.trial(np.clip(u + lam * direction, driver.lo, driver.hi))
+        if trial is not None:
+            kit, R_new = trial
+            rnorm_new = float(np.max(np.abs(R_new)))
+            if rnorm_new <= (1.0 - 1e-4 * lam) * rnorm:
+                return kit, R_new, rnorm_new, lam
         lam *= config.linesearch_factor
     return None
 
@@ -392,22 +394,21 @@ def _stable_pseudo_time_step(kit):
     return 0.9 / lam
 
 
-def _fallback_sweeps(driver, u, R, rnorm, state):
+def _fallback_sweeps(driver, kit, R, rnorm, state):
     """Pseudo-transient relaxation u <- u + ds cosh(theta) (H - target).
 
     The step follows the first variation of the area, so in a transition
     model accepted sweeps climb toward the maximal slice; a persistent
     monotone drift of the mean height instead triggers the drift diagnostic.
     Steps are capped at the explicit stability bound and rejected (with ds
-    halved) if they inflate the residual.
-    Returns (u, R, rnorm, drift_endpoint_or_None).
+    halved) if they inflate the residual.  The flow is read from the
+    iterate's kit; an accepted trial point's kit becomes the next iterate.
+    Returns (kit, R, rnorm, drift_endpoint_or_None).
     """
     config = driver.config
     for _ in range(config.fallback_chunk):
         if state["sweeps"] >= config.fallback_max_sweeps or rnorm <= config.residual_tol:
             break
-        graph = GraphField(driver.model, u)
-        kit = _kit(graph)
         flow = kit.cosh * (_mean_curvature(kit) - _target_field(kit, config.target))
         peak = float(np.max(np.abs(flow)))
         if peak == 0.0:
@@ -419,31 +420,31 @@ def _fallback_sweeps(driver, u, R, rnorm, state):
         )
         accepted = None
         for _ in range(16):
-            candidate = np.clip(u + ds * flow, driver.lo, driver.hi)
-            if driver.admissible(candidate):
-                R_new = driver.residual(candidate)
-                rnorm_new = float(np.max(np.abs(R_new)))
+            trial = driver.trial(np.clip(kit.u + ds * flow, driver.lo, driver.hi))
+            if trial is not None:
+                rnorm_new = float(np.max(np.abs(trial[1])))
                 if rnorm_new <= 1.05 * rnorm:
-                    accepted = (candidate, R_new, rnorm_new)
+                    accepted = (*trial, rnorm_new)
                     break
             ds *= 0.5
         if accepted is None:
             break
         state["ds"] = ds
-        u, R, rnorm = accepted
+        kit, R, rnorm = accepted
         state["sweeps"] += 1
-        driver.record("fallback", u, rnorm, ds)
-        endpoint = driver.update_drift(float(u.mean()), rnorm)
+        driver.record("fallback", kit, rnorm, ds)
+        endpoint = driver.update_drift(float(kit.u.mean()), rnorm)
         if endpoint is not None:
-            return u, R, rnorm, endpoint
-    return u, R, rnorm, None
+            return kit, R, rnorm, endpoint
+    return kit, R, rnorm, None
 
 
-def _verify_converged(driver, u, rnorm):
-    """Independent re-check through both curvature paths plus safeguards."""
+def _verify_converged(driver, kit):
+    """Independent re-check through both curvature paths plus safeguards;
+    the second path builds its own kits from the graph."""
     config = driver.config
+    u = kit.u
     graph = GraphField(driver.model, u)
-    kit = _kit(graph)
     target = _target_field(kit, config.target)
     r_primary = float(np.max(np.abs(kit.n * (_mean_curvature(kit) - target))))
     r_secondary = float(
@@ -476,13 +477,9 @@ def solve(model, config):
     """Run the damped Newton-Krylov loop with relaxation fallback."""
     driver = _Driver(model, config)
     graph0 = resolve_initializer(model, config.initial)
-    if graph0.model is not model:
-        graph0 = GraphField(model, graph0.u)
-    mu0 = float(spacelike_margin(graph0).max())
-    if mu0 >= 1.0:
-        # resolve_initializer admits any interval-valid field; the solver
-        # needs a genuinely spacelike start.
-        _kit(graph0)  # raises SpacelikeError naming the worst node
+    # resolve_initializer admits any interval-valid field; the kit raises
+    # SpacelikeError naming the worst node unless the start is spacelike.
+    kit = _kit(GraphField(model, graph0.u.copy()))
 
     if config.check_certificate and config.target != "generalized":
         certificate = certificate_check(
@@ -495,10 +492,9 @@ def solve(model, config):
                 log=driver.log,
             )
 
-    u = graph0.u.copy()
-    R = driver.residual(u)
+    R = _residual(kit, config.target)
     rnorm = float(np.max(np.abs(R)))
-    driver.record("init", u, rnorm, 0.0)
+    driver.record("init", kit, rnorm, 0.0)
 
     newton_iters = 0
     state = {"sweeps": 0, "ds": 1e-2 * driver.span}
@@ -506,7 +502,7 @@ def solve(model, config):
 
     while True:
         if rnorm <= config.residual_tol:
-            ok, graph, diagnostics = _verify_converged(driver, u, rnorm)
+            ok, graph, diagnostics = _verify_converged(driver, kit)
             diagnostics["target"] = config.target
             if ok:
                 return SolveOutcome(
@@ -542,18 +538,18 @@ def solve(model, config):
             )
 
         newton_iters += 1
-        direction = _krylov_step(driver, u, R)
+        direction = _krylov_step(driver, kit.u, R)
         stepped = None
         if direction is not None:
-            stepped = _line_search(driver, u, R, rnorm, direction)
+            stepped = _line_search(driver, kit.u, R, rnorm, direction)
         if stepped is not None:
-            u, R, rnorm, lam = stepped
+            kit, R, rnorm, lam = stepped
             best_rnorm = min(best_rnorm, rnorm)
-            entry = driver.record("newton", u, rnorm, lam)
+            entry = driver.record("newton", kit, rnorm, lam)
             entry["krylov_info"] = int(driver.krylov_info)
             continue
 
-        u, R, rnorm, endpoint = _fallback_sweeps(driver, u, R, rnorm, state)
+        kit, R, rnorm, endpoint = _fallback_sweeps(driver, kit, R, rnorm, state)
         best_rnorm = min(best_rnorm, rnorm)
         if endpoint is not None:
             return SolveOutcome(
@@ -571,7 +567,7 @@ def solve(model, config):
                         "residual stayed large; not an analytic proof"
                     ),
                 },
-                diagnostics={"u_mean": float(u.mean())},
+                diagnostics={"u_mean": float(kit.u.mean())},
                 log=driver.log,
             )
 

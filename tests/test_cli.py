@@ -86,6 +86,15 @@ class TestGeometryCommand:
         err = capsys.readouterr().err
         assert "not spacelike" in err and "node" in err
 
+    def test_slice_outside_interval_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config("geometry", out)
+        cfg["geometry"] = {"initializer": {"kind": "constant", "value": 5.0}}
+        code = main(["geometry", "--config", str(write_config(tmp_path, cfg))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "constraint error: slice time t0 outside the open interval" in err
+
     def test_summary_embeds_resolved_config_for_reruns(self, tmp_path):
         out1 = tmp_path / "out1"
         cfg = base_config("geometry", out1)

@@ -26,6 +26,25 @@ def transition_model(resolution=128):
     return default_model(1, resolution=resolution, twist="separable_gauss")
 
 
+def count_kits_and_residuals(monkeypatch):
+    """Count ``_Kit`` builds and solver residual evaluations from here on."""
+    kits, residuals = [], []
+    init = graphs_mod._Kit.__init__
+    real = solver_mod._residual
+
+    def counted_init(self, *args, **kwargs):
+        kits.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_residual(kit, target):
+        residuals.append(1)
+        return real(kit, target)
+
+    monkeypatch.setattr(graphs_mod._Kit, "__init__", counted_init)
+    monkeypatch.setattr(solver_mod, "_residual", counted_residual)
+    return kits, residuals
+
+
 class TestResidual:
     def test_slice_at_matching_target_is_zero(self):
         model = default_model(1, twist="grw_exp", interval=(-1.0, 1.0))
@@ -266,13 +285,14 @@ class TestJacobian:
 
     def test_maximal_2d_solve_uses_few_residual_evaluations(self, monkeypatch):
         calls = []
-        real = solver_mod.residual_field
+        real = solver_mod._residual
 
-        def counting(graph, target=0.0):
+        def counting(kit, target):
             calls.append(1)
-            return real(graph, target)
+            return real(kit, target)
 
-        monkeypatch.setattr(solver_mod, "residual_field", counting)
+        # _residual sees both the Jacobian's and the trial points' residuals
+        monkeypatch.setattr(solver_mod, "_residual", counting)
         model = default_model(2, resolution=64, twist="separable_gauss")
         cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
         outcome = solve(model, cfg)
@@ -306,6 +326,66 @@ class TestJacobian:
         newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
         assert newton
         assert all(e["krylov_info"] > 0 for e in newton)
+
+
+class TestTrialPoints:
+    def test_values_above_the_box_are_rejected(self):
+        model = transition_model()
+        driver = solver_mod._Driver(model, SolveConfig())
+        values = np.full(model.fiber.shape, 0.5 * (driver.hi + model.interval[1]))
+        assert driver.trial(values) is None
+
+    def test_nonspacelike_values_are_rejected_without_raising(self):
+        model = flat_grw_model()
+        grid = model.fiber
+        h = grid.spacing[0]
+        amp = 1.01 * h / np.sin(2 * np.pi * h)
+        values = amp * np.sin(2 * np.pi * grid.coords[0])
+        assert float(graphs_mod.spacelike_margin(GraphField(model, values)).max()) >= 1.0
+        driver = solver_mod._Driver(model, SolveConfig())
+        assert driver.trial(values) is None
+
+    @pytest.mark.parametrize("target", [0.0, "generalized"])
+    def test_residual_matches_residual_field(self, target):
+        model = default_model(2, resolution=16, twist="separable_gauss")
+        values = random_trig_graph(model, seed=4, amplitude=0.05).u
+        driver = solver_mod._Driver(model, SolveConfig(target=target))
+        kit, R = driver.trial(values)
+        assert np.array_equal(kit.u, values)
+        assert np.array_equal(R, residual_field(GraphField(model, values), target))
+
+    def test_solution_does_not_share_the_initial_array(self):
+        model = transition_model()
+        graph0 = GraphField.constant(model, 0.0)
+        outcome = solve(model, SolveConfig(target=0.0, initial=graph0))
+        assert outcome.tag == "converged"
+        assert np.array_equal(outcome.graph.u, graph0.u)
+        assert not np.shares_memory(outcome.graph.u, graph0.u)
+
+    @pytest.mark.parametrize(
+        "dim, twist, interval, seed, check_certificate",
+        [
+            (2, "separable_gauss", (-1.5, 1.5), 7, True),
+            (1, "separable_exp", (-1.0, 1.0), 3, False),
+        ],
+        ids=["maximal-64x64", "drift-1d"],
+    )
+    def test_one_kit_per_trial_point(
+        self, monkeypatch, dim, twist, interval, seed, check_certificate
+    ):
+        model = default_model(
+            dim, resolution=64 if dim == 2 else None, twist=twist, interval=interval
+        )
+        # built before counting: the initializer's own margin check is not
+        # the solver's kit
+        initial = random_trig_graph(model, seed=seed, amplitude=0.1)
+        cfg = SolveConfig(
+            target=0.0, initial=initial, check_certificate=check_certificate
+        )
+        kits, residuals = count_kits_and_residuals(monkeypatch)
+        solve(model, cfg)
+        # the spare 5 cover the two-path re-verification and geometry_report
+        assert len(kits) <= len(residuals) + 5
 
 
 class TestRigidityReport:
