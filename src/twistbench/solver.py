@@ -13,6 +13,11 @@ wide central stencil applied twice), so columns whose stencils never share
 a row are perturbed together: a greedy Curtis-Powell-Reid coloring of the
 periodic lattice, computed once per grid shape, builds the whole Jacobian
 from one pair of central-difference residuals per color.
+
+The Jacobian is a variable-coefficient elliptic stencil on a periodic
+lattice, so lgmres is preconditioned with the inverse of its
+Frobenius-nearest circulant (T. F. Chan, SIAM J. Sci. Stat. Comput. 1988):
+the stencil averaged over the lattice, inverted mode by mode with the FFT.
 """
 
 import functools
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_array
-from scipy.sparse.linalg import aslinearoperator, lgmres
+from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import DomainError, SpacelikeError
 from .graphs import (
@@ -177,7 +182,7 @@ class _Driver:
         self.log = []
         self.step_count = 0
         self.drift_history = []  # (mean height, residual) per fallback sweep
-        self.krylov_info = None  # lgmres info of the latest Newton direction
+        self.krylov = {}  # krylov_info and krylov_matvecs of the latest Newton direction
 
     def residual(self, values):
         return residual_field(GraphField(self.model, values), self.config.target)
@@ -294,7 +299,9 @@ def _jacobian(driver, u):
     Each color costs one +eps/-eps pair of residual calls, with the step
     scaled like a Jacobian-free matvec along the color's indicator.  Every
     entry is divided by the step its column actually received, so the
-    rounding of u + eps does not enter the quotient.
+    rounding of u + eps does not enter the quotient.  Returns the matrix and
+    its stencil ``values``: values[j, k] is the entry of column j at the
+    k-th offset of ``_lattice_ball(dim, _RESIDUAL_REACH)`` from node j.
     """
     rows, colors = _jacobian_pattern(u.shape)
     n_colors = int(colors.max()) + 1
@@ -311,44 +318,78 @@ def _jacobian(driver, u):
     # column j holds the entries of its rows in its color's difference
     values = columns[colors[:, None], rows] / width[:, None]
     indptr = np.arange(0, rows.size + 1, rows.shape[1])
-    return csc_array(
-        (values.ravel(), rows.flatten(), indptr), shape=(u.size, u.size)
-    )
+    J = csc_array((values.ravel(), rows.flatten(), indptr), shape=(u.size, u.size))
+    return J, values
+
+
+def _circulant_preconditioner(values, shape):
+    """Inverse of the circulant nearest (in Frobenius norm) to the Jacobian.
+
+    Averaging the stencil ``values`` over columns gives one coefficient per
+    offset; placed at their wrapped offsets they form the circulant's
+    kernel, whose FFT is its symbol.  The inverse divides each Fourier mode
+    by the symbol, except modes whose symbol is at round-off (the constant
+    and grid-scale modes of a degenerate problem), which pass unchanged.
+    """
+    axes = tuple(range(len(shape)))
+    offsets = _lattice_ball(len(shape), _RESIDUAL_REACH) % np.array(shape)
+    kernel = np.zeros(shape)
+    kernel[tuple(offsets.T)] = values.mean(axis=0)
+    symbol = np.fft.rfftn(kernel, axes=axes)
+    magnitude = np.abs(symbol)
+    symbol[magnitude <= 1e-14 * magnitude.max()] = 1.0
+
+    def apply(x):
+        modes = np.fft.rfftn(x.reshape(shape), axes=axes) / symbol
+        return np.fft.irfftn(modes, s=shape, axes=axes).ravel()
+
+    return LinearOperator((kernel.size, kernel.size), matvec=apply, dtype=float)
 
 
 def _krylov_step(driver, u, R):
-    """Inexact Newton direction: lgmres on the colored sparse Jacobian.
+    """Inexact Newton direction: preconditioned lgmres on the sparse Jacobian.
 
     The Jacobian is assembled by ``_jacobian`` and handed to lgmres as a
-    linear operator; lgmres's exit info (0 = converged) is kept on the
-    driver for the iteration log.  When the Jacobian annihilates the
-    constant direction (one-parameter slice families make the problem
-    gauge-degenerate) the Krylov solution carries an arbitrary constant
-    component; it is detected with the probe J 1 and projected out so
-    iterates do not wander toward the interval ends.
+    linear operator, with ``_circulant_preconditioner`` of the same stencil
+    as M.  lgmres stops on the true residual |R + J d| <= krylov_rtol
+    |R|.  Its exit info (0 = converged) and the number of J products it
+    made are kept on the driver for the iteration log.  When the Jacobian
+    annihilates the constant direction (one-parameter slice families make
+    the problem gauge-degenerate) the Krylov solution carries an arbitrary
+    constant component; it is detected with the probe J 1 and projected out
+    so iterates do not wander toward the interval ends.
     """
     config = driver.config
     rnorm = float(np.max(np.abs(R)))
     try:
-        J = _jacobian(driver, u)
+        J, values = _jacobian(driver, u)
     except _STEP_ERRORS:
         return None
     probe = J @ np.ones(u.size)
     constant_is_null = float(np.max(np.abs(probe))) <= 1e-8 * max(1.0, rnorm)
 
+    products = 0
+
+    def product(x):
+        nonlocal products
+        products += 1
+        return J @ x
+
     inner_m = 10
     maxiter = max(1, config.krylov_maxiter // inner_m)
     try:
-        d, driver.krylov_info = lgmres(
-            aslinearoperator(J),
+        d, info = lgmres(
+            LinearOperator(J.shape, matvec=product, dtype=J.dtype),
             -R.ravel(),
             rtol=config.krylov_rtol,
             atol=0.0,
             inner_m=inner_m,
             maxiter=maxiter,
+            M=_circulant_preconditioner(values, u.shape),
         )
     except _STEP_ERRORS:
         return None
+    driver.krylov = {"krylov_info": int(info), "krylov_matvecs": products}
     if not np.all(np.isfinite(d)):
         return None
     if constant_is_null:
@@ -439,20 +480,20 @@ def _fallback_sweeps(driver, kit, R, rnorm, state):
     return kit, R, rnorm, None
 
 
-def _verify_converged(driver, kit):
-    """Independent re-check through both curvature paths plus safeguards;
-    the second path builds its own kits from the graph."""
+def _verify_converged(driver, kit, rnorm):
+    """Re-check a converged iterate: ``rnorm`` is its residual through the
+    fiber-form curvature of ``kit``; the coordinate-form second path builds
+    its own kits from the graph.  Both must pass, with the safeguards."""
     config = driver.config
     u = kit.u
     graph = GraphField(driver.model, u)
     target = _target_field(kit, config.target)
-    r_primary = float(np.max(np.abs(kit.n * (_mean_curvature(kit) - target))))
     r_secondary = float(
         np.max(np.abs(kit.n * (mean_curvature_from_laplacian(graph) - target)))
     )
     margin = float(kit.mu.max())
     ok = (
-        r_primary <= 2.0 * config.residual_tol
+        rnorm <= 2.0 * config.residual_tol
         and r_secondary <= 2.0 * config.residual_tol
         and margin <= config.spacelike_cap
     )
@@ -460,7 +501,7 @@ def _verify_converged(driver, kit):
     imax = np.unravel_index(int(np.argmax(u)), u.shape)
     dlog = kit.dlogf
     diagnostics = {
-        "residual_primary": r_primary,
+        "residual_primary": rnorm,
         "residual_secondary": r_secondary,
         "max_margin": margin,
         "extremum_gap_min": (
@@ -502,7 +543,7 @@ def solve(model, config):
 
     while True:
         if rnorm <= config.residual_tol:
-            ok, graph, diagnostics = _verify_converged(driver, kit)
+            ok, graph, diagnostics = _verify_converged(driver, kit, rnorm)
             diagnostics["target"] = config.target
             if ok:
                 return SolveOutcome(
@@ -546,7 +587,7 @@ def solve(model, config):
             kit, R, rnorm, lam = stepped
             best_rnorm = min(best_rnorm, rnorm)
             entry = driver.record("newton", kit, rnorm, lam)
-            entry["krylov_info"] = int(driver.krylov_info)
+            entry.update(driver.krylov)
             continue
 
         kit, R, rnorm, endpoint = _fallback_sweeps(driver, kit, R, rnorm, state)

@@ -139,6 +139,28 @@ class TestSolve:
         assert outcome.diagnostics["residual_secondary"] <= 2e-10
         assert outcome.diagnostics["max_margin"] <= 0.99
 
+    @pytest.mark.parametrize("target", [0.0, "generalized"])
+    def test_primary_recheck_is_the_iterate_residual(self, monkeypatch, target):
+        # the fiber-form curvature runs once per residual and once per log
+        # entry; the re-verification reuses the converged iterate's norm
+        model = transition_model()
+        cfg = SolveConfig(target=target, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
+        _, residuals = count_kits_and_residuals(monkeypatch)
+        curvatures = []
+        real = solver_mod._mean_curvature
+
+        def counted(kit):
+            curvatures.append(1)
+            return real(kit)
+
+        monkeypatch.setattr(solver_mod, "_mean_curvature", counted)
+        outcome = solve(model, cfg)
+        assert outcome.tag == "converged"
+        assert all(e["phase"] != "fallback" for e in outcome.log)
+        assert len(curvatures) == len(residuals) + len(outcome.log)
+        primary = float(np.max(np.abs(residual_field(outcome.graph, target))))
+        assert outcome.diagnostics["residual_primary"] == primary == outcome.residual_norm
+
     def test_extremum_inequalities_on_converged(self):
         model = transition_model()
         cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 5, "amplitude": 0.1})
@@ -271,7 +293,7 @@ class TestJacobian:
         model = default_model(dim, resolution=m, curved=curved, twist="separable_gauss")
         u = random_trig_graph(model, seed=3, amplitude=0.05).u
         driver = solver_mod._Driver(model, SolveConfig(target=target))
-        J = solver_mod._jacobian(driver, u)
+        J, _ = solver_mod._jacobian(driver, u)
         rng = np.random.default_rng(dim)
         h = 1e-6
         for _ in range(3):
@@ -316,16 +338,98 @@ class TestJacobian:
         newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
         assert newton
         assert all(e["krylov_info"] == 0 for e in newton)
-        # the expanding model's singular steps run lgmres to its budget
+        # the expanding model ends in drift, and every step reports lgmres's
+        # exit code and its J products
         model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
         cfg = SolveConfig(
             target=0.0,
             initial={"kind": "random_trig", "seed": 3, "amplitude": 0.1},
             check_certificate=False,
         )
-        newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
+        outcome = solve(model, cfg)
+        assert outcome.tag == "nonexistence"
+        assert outcome.certificate["reason"] == "drift"
+        newton = [e for e in outcome.log if e["phase"] == "newton"]
         assert newton
-        assert all(e["krylov_info"] > 0 for e in newton)
+        for e in newton:
+            assert type(e["krylov_info"]) is int and e["krylov_info"] >= 0
+            assert type(e["krylov_matvecs"]) is int and e["krylov_matvecs"] >= 1
+
+
+def _wide_stencil(offsets):
+    """Coefficients on ``offsets`` of sum_i (D0_i)^2 + 0.3 D0_1 at unit
+    spacing, D0 the centred difference: a non-symmetric stencil whose null
+    modes are the constant and the sublattice modes."""
+    reach = np.abs(offsets).sum(axis=1)
+    stencil = np.where(reach == 0, -0.5 * offsets.shape[1], 0.0)
+    stencil = np.where(np.abs(offsets).max(axis=1) == 2, 0.25, stencil)
+    # x_{i-o} enters node i, so offset -e_1 carries x_{i+1}
+    return stencil + np.where(reach == 1, -0.15 * offsets[:, 0], 0.0)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
+    def test_inverts_the_circulant_jacobian_of_a_grw_slice(self, dim, m):
+        # on a slice of a flat-fiber GRW model every column of J carries
+        # the same stencil, so J is its own nearest circulant
+        model = default_model(dim, resolution=m, twist="grw_gauss")
+        shape = model.fiber.shape
+        driver = solver_mod._Driver(model, SolveConfig(target=0.0))
+        J, values = solver_mod._jacobian(driver, np.full(shape, 0.3))
+        assert np.max(np.abs(values - values[0])) <= 1e-10 * np.max(np.abs(values))
+        # J's symbol is the FFT of its first column; x avoids its round-off modes
+        axes = tuple(range(dim))
+        column = (J @ np.eye(1, J.shape[0]).ravel()).reshape(shape)
+        symbol = np.abs(np.fft.rfftn(column, axes=axes))
+        modes = np.fft.rfftn(np.random.default_rng(dim).standard_normal(shape), axes=axes)
+        modes[symbol <= 1e-14 * symbol.max()] = 0.0
+        x = np.fft.irfftn(modes, s=shape, axes=axes).ravel()
+        M = solver_mod._circulant_preconditioner(values, shape)
+        assert np.max(np.abs(M.matvec(J @ x) - x)) <= 1e-10 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
+    def test_round_off_modes_pass_unchanged(self, dim, m):
+        # wide centred stencils annihilate the constant and the 2^dim - 1
+        # sublattice modes; M must pass those unchanged and undo the
+        # stencil on the rest
+        shape = (m,) * dim
+        offsets = solver_mod._lattice_ball(dim, solver_mod._RESIDUAL_REACH)
+        stencil = _wide_stencil(offsets)
+        M = solver_mod._circulant_preconditioner(np.tile(stencil, (m**dim, 1)), shape)
+        x = np.random.default_rng(dim).standard_normal(shape)
+        sublattice_means = np.empty(shape)
+        for corner in np.ndindex(*(2,) * dim):
+            part = tuple(slice(c, None, 2) for c in corner)
+            sublattice_means[part] = x[part].mean()
+        null = sublattice_means.ravel()
+        assert np.max(np.abs(M.matvec(null) - null)) <= 1e-12
+        Lx = sum(
+            c * np.roll(x, tuple(o), axis=tuple(range(dim)))
+            for c, o in zip(stencil, offsets)
+        )
+        rest = x.ravel() - null
+        assert np.max(np.abs(M.matvec(Lx.ravel()) - rest)) <= 1e-10 * np.max(np.abs(x))
+
+    def test_maximal_2d_solve_makes_few_jacobian_products(self):
+        # the solve of test_maximal_2d_solve_uses_few_residual_evaluations;
+        # unpreconditioned lgmres needed about 850 products here
+        model = default_model(2, resolution=64, twist="separable_gauss")
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
+        outcome = solve(model, cfg)
+        assert outcome.tag == "converged"
+        newton = [e for e in outcome.log if e["phase"] == "newton"]
+        assert newton
+        assert sum(e["krylov_matvecs"] for e in newton) <= 120
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_transition_solves_converge_every_lgmres(self, dim):
+        model = default_model(dim, twist="separable_gauss")
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
+        outcome = solve(model, cfg)
+        assert outcome.tag == "converged"
+        newton = [e for e in outcome.log if e["phase"] == "newton"]
+        assert newton
+        assert all(e["krylov_info"] == 0 for e in newton)
 
 
 class TestTrialPoints:
