@@ -14,10 +14,12 @@ in this module.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, SpacelikeError
+from .fiber_grid import component_sum
 
 __all__ = [
     "GraphField",
@@ -72,7 +74,11 @@ class GraphField:
 
 
 class _Kit:
-    """Shared per-graph quantities; one stencil pass feeding every operation."""
+    """Shared per-graph quantities; one stencil pass feeding every operation.
+
+    What a residual reads is computed on construction; the margin, the boost
+    and the mean curvature are computed on first use and then kept.
+    """
 
     def __init__(self, graph, require_spacelike=True):
         model = graph.model
@@ -91,7 +97,6 @@ class _Kit:
         self.du = grid.partials(u)                       # covector D_i u
         self.grad_u = self.du / grid.metric_diag         # contravariant
         self.grad_u_sq = grid.inner(self.grad_u, self.grad_u)
-        self.mu = np.sqrt(self.grad_u_sq) / self.f
         self.support = self.f * self.f - self.grad_u_sq  # f^2 - |grad u|^2
 
         if require_spacelike and np.any(self.support <= 0.0):
@@ -109,8 +114,26 @@ class _Kit:
 
         with np.errstate(invalid="ignore", divide="ignore"):
             self.rho = 1.0 / (self.f * np.sqrt(self.support))
-        self.cosh = self.f * self.f * self.rho
-        self.sinh_sq = (self.f * self.rho) ** 2 * self.grad_u_sq
+
+    @cached_property
+    def mu(self):
+        """Spacelike margin |grad_F u| / f."""
+        return np.sqrt(self.grad_u_sq) / self.f
+
+    @cached_property
+    def cosh(self):
+        """cosh theta = f^2 rho."""
+        return self.f * self.f * self.rho
+
+    @cached_property
+    def sinh_sq(self):
+        """sinh^2 theta = f^2 rho^2 |grad_F u|^2."""
+        return (self.f * self.rho) ** 2 * self.grad_u_sq
+
+    @cached_property
+    def H(self):
+        """Mean curvature, fiber form (``mean_curvature``)."""
+        return _mean_curvature(self)
 
     def metric(self):
         """Induced metric matrices g_ij = -D_i u D_j u + f^2 (g_F)_ij."""
@@ -271,8 +294,8 @@ def _mean_curvature(kit):
     n = kit.n
     div = grid.divergence(kit.rho[..., None] * kit.grad_u)
     middle = kit.f ** 2 * kit.rho * (n + kit.grad_u_sq / kit.f ** 2) * kit.dlogf
-    twist_pairing = n * kit.rho * np.sum(
-        (kit.fiber_df / kit.f[..., None]) * kit.grad_u, axis=-1
+    twist_pairing = n * kit.rho * component_sum(
+        (kit.fiber_df / kit.f[..., None]) * kit.grad_u
     )
     return (div + middle + twist_pairing) / n
 
@@ -438,8 +461,7 @@ class SliceConditionReport:
 
 def slice_condition_report(graph, tol=1e-12):
     kit = _kit(graph)
-    H = _mean_curvature(kit)
-    gap = kit.dlogf - H * kit.cosh
+    gap = kit.dlogf - kit.H * kit.cosh
     expanding_case = bool(np.all(kit.dtf >= -tol) and np.all(gap >= -tol))
     contracting_case = bool(np.all(kit.dtf <= tol) and np.all(gap <= tol))
     return SliceConditionReport(
@@ -510,7 +532,7 @@ def geometry_report(graph):
         rho=kit.rho,
         cosh_theta=kit.cosh,
         sinh_sq=kit.sinh_sq,
-        mean_curvature=_mean_curvature(kit),
+        mean_curvature=kit.H,
         laplacian_tau=laplacian_tau_fiber(graph),
         metric=g,
         det_direct=np.linalg.det(g),

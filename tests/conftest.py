@@ -53,3 +53,34 @@ def flat_grw_model(dim=1, m=128, interval=(-1.0, 1.0)):
     grid = unit_torus(dim, m)
     twist = TwistedFunction("pure_time", g=TimeProfile("constant", {"c": 1.0}))
     return SpacetimeModel(interval, grid, twist)
+
+
+# Reference stencils: the np.roll / np.stack / np.sum forms that FiberGrid's
+# sliced kernels replace.  The kernels must reproduce them bit for bit.
+
+def roll_diff(grid, field, axis):
+    h = grid.spacing[axis]
+    return (np.roll(field, -1, axis=axis) - np.roll(field, 1, axis=axis)) / (2.0 * h)
+
+
+def stack_partials(grid, phi):
+    return np.stack([roll_diff(grid, phi, i) for i in range(grid.dim)], axis=-1)
+
+
+def zeros_divergence(grid, V):
+    out = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        out += roll_diff(grid, grid.sqrt_det * V[..., i], i)
+    return out / grid.sqrt_det
+
+
+def sum_inner(grid, V, W):
+    return np.sum(grid.metric_diag * V * W, axis=-1)
+
+
+def assert_bitwise(actual, expected):
+    """Same shape and the same bytes: equal values, signed zeros included."""
+    actual = np.asarray(actual)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()

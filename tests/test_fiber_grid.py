@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from twistbench import ConformalFactor, FiberGrid, TimeProfile, TrigPolynomial, TwistedFunction
+from twistbench.fiber_grid import component_sum
 
-from conftest import random_trig_field, unit_torus
+from conftest import (
+    assert_bitwise,
+    random_trig_field,
+    roll_diff,
+    stack_partials,
+    sum_inner,
+    unit_torus,
+    zeros_divergence,
+)
 
 
 def observed_order(defects):
@@ -154,6 +163,50 @@ class TestGlobalIdentities:
             rolled_then_lap = grid.laplacian(np.roll(phi, shift, axis=0))
             lap_then_rolled = np.roll(grid.laplacian(phi), shift, axis=0)
             assert np.array_equal(rolled_then_lap, lap_then_rolled)
+
+
+GRIDS = [(dim, m, curved) for dim, m in ((1, 16), (2, 12), (3, 8)) for curved in (False, True)]
+
+
+def signed_zero_field(grid):
+    """A field of +0.0 and -0.0 only: its differences carry -0.0 at nodes
+    whose forward neighbour is -0.0 and backward neighbour +0.0."""
+    rng = np.random.default_rng(grid.dim)
+    return np.where(rng.random(grid.shape) < 0.5, -0.0, 0.0)
+
+
+class TestBitwiseKernels:
+    """The sliced kernels against the np.roll / np.stack / np.sum forms."""
+
+    @pytest.mark.parametrize("dim, m, curved", GRIDS)
+    def test_diff_and_partials(self, dim, m, curved):
+        grid = unit_torus(dim, m, curved=curved)
+        for phi in (random_trig_field(grid, seed=dim), signed_zero_field(grid)):
+            for axis in range(dim):
+                assert_bitwise(grid.diff(phi, axis), roll_diff(grid, phi, axis))
+            assert_bitwise(grid.partials(phi), stack_partials(grid, phi))
+
+    @pytest.mark.parametrize("dim, m, curved", GRIDS)
+    def test_divergence_inner_and_laplacian(self, dim, m, curved):
+        grid = unit_torus(dim, m, curved=curved)
+        phi = random_trig_field(grid, seed=dim + 1)
+        V = stack_partials(grid, phi)
+        W = stack_partials(grid, phi * phi)
+        Z = np.stack([signed_zero_field(grid)] * dim, axis=-1)
+        for field in (V, Z):
+            assert_bitwise(grid.divergence(field), zeros_divergence(grid, field))
+            assert_bitwise(grid.inner(field, W), sum_inner(grid, field, W))
+        assert_bitwise(grid.norm_sq(V), sum_inner(grid, V, V))
+        gradient = stack_partials(grid, phi) / grid.metric_diag
+        assert_bitwise(grid.laplacian(phi), zeros_divergence(grid, gradient))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_component_sum_starts_from_positive_zero(self, n):
+        X = np.random.default_rng(n).standard_normal((7, 5, n))
+        X[0] = -0.0
+        X[1, :, 0] = -0.0
+        assert_bitwise(component_sum(X), np.sum(X, axis=-1))
+        assert not np.any(np.signbit(component_sum(X)[0]))
 
 
 class TestValidation:

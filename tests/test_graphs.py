@@ -25,9 +25,9 @@ from twistbench import (
     unit_normal,
     warped_obstruction,
 )
-from twistbench.graphs import _kit
+from twistbench.graphs import _kit, _mean_curvature
 
-from conftest import flat_grw_model
+from conftest import assert_bitwise, flat_grw_model, stack_partials, sum_inner, zeros_divergence
 
 
 def near_critical_sine(model, delta):
@@ -262,6 +262,36 @@ class TestMeanCurvature:
         expected = model.twist.dlog_dt(0.2, model.fiber)
         rel = np.abs(mean_curvature(graph) - expected) / np.maximum(np.abs(expected), 1e-300)
         assert np.max(rel) <= 1e-12
+
+
+def reference_mean_curvature(graph):
+    """Fiber-form H with the np.roll / np.stack / np.sum kernels throughout."""
+    grid, twist, u = graph.grid, graph.model.twist, graph.u
+    n = grid.dim
+    f = twist.value(u, grid)
+    dlogf = twist.dt(u, grid) / f
+    grad_u = stack_partials(grid, u) / grid.metric_diag
+    grad_u_sq = sum_inner(grid, grad_u, grad_u)
+    rho = 1.0 / (f * np.sqrt(f * f - grad_u_sq))
+    div = zeros_divergence(grid, rho[..., None] * grad_u)
+    middle = f ** 2 * rho * (n + grad_u_sq / f ** 2) * dlogf
+    pairing = n * rho * np.sum(
+        (twist.fiber_partials(u, grid) / f[..., None]) * grad_u, axis=-1
+    )
+    return (div + middle + pairing) / n
+
+
+class TestBitwiseMeanCurvature:
+    @pytest.mark.parametrize("dim, m", [(1, 16), (2, 12), (3, 8)])
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_matches_the_reference_kernels(self, dim, m, curved):
+        model = default_model(dim, resolution=m, curved=curved, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=dim, amplitude=0.05)
+        expected = reference_mean_curvature(graph)
+        kit = _kit(graph)
+        assert_bitwise(_mean_curvature(kit), expected)
+        assert_bitwise(kit.H, expected)
+        assert_bitwise(mean_curvature(graph), expected)
 
 
 class TestUnitNormal:

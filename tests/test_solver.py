@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistbench.graphs as graphs_mod
 import twistbench.solver as solver_mod
@@ -43,6 +45,19 @@ def count_kits_and_residuals(monkeypatch):
     monkeypatch.setattr(graphs_mod._Kit, "__init__", counted_init)
     monkeypatch.setattr(solver_mod, "_residual", counted_residual)
     return kits, residuals
+
+
+def count_curvature_passes(monkeypatch):
+    """Count fiber-form mean-curvature passes from here on."""
+    passes = []
+    real = graphs_mod._mean_curvature
+
+    def counted(kit):
+        passes.append(1)
+        return real(kit)
+
+    monkeypatch.setattr(graphs_mod, "_mean_curvature", counted)
+    return passes
 
 
 class TestResidual:
@@ -141,23 +156,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("target", [0.0, "generalized"])
     def test_primary_recheck_is_the_iterate_residual(self, monkeypatch, target):
-        # the fiber-form curvature runs once per residual and once per log
-        # entry; the re-verification reuses the converged iterate's norm
+        # the fiber-form curvature runs once per residual, and the log
+        # entries and the re-verification read it from the iterate's kit;
+        # the one extra pass is geometry_report's own kit
         model = transition_model()
         cfg = SolveConfig(target=target, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
         _, residuals = count_kits_and_residuals(monkeypatch)
-        curvatures = []
-        real = solver_mod._mean_curvature
-
-        def counted(kit):
-            curvatures.append(1)
-            return real(kit)
-
-        monkeypatch.setattr(solver_mod, "_mean_curvature", counted)
+        curvatures = count_curvature_passes(monkeypatch)
         outcome = solve(model, cfg)
         assert outcome.tag == "converged"
         assert all(e["phase"] != "fallback" for e in outcome.log)
-        assert len(curvatures) == len(residuals) + len(outcome.log)
+        assert len(curvatures) == len(residuals) + 1
         primary = float(np.max(np.abs(residual_field(outcome.graph, target))))
         assert outcome.diagnostics["residual_primary"] == primary == outcome.residual_norm
 
@@ -219,6 +228,22 @@ class TestSolve:
             assert outcome.certificate["reason"] == "drift"
             assert "note" in outcome.certificate
 
+    def test_one_curvature_pass_per_residual_on_the_fallback_path(self, monkeypatch):
+        # the drift solve logs Newton and fallback entries and takes the
+        # relaxation flow; all of them read H from the kit of their residual
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        cfg = SolveConfig(
+            target=0.0,
+            initial={"kind": "random_trig", "seed": 3, "amplitude": 0.1},
+            check_certificate=False,
+        )
+        _, residuals = count_kits_and_residuals(monkeypatch)
+        curvatures = count_curvature_passes(monkeypatch)
+        outcome = solve(model, cfg)
+        assert outcome.tag == "nonexistence"
+        assert any(e["phase"] == "fallback" for e in outcome.log)
+        assert len(curvatures) == len(residuals)
+
     def test_deterministic_iteration_log(self):
         model = transition_model()
 
@@ -267,17 +292,48 @@ class TestSolve:
         assert all(e["dtf_H_min"] >= -1e-10 for e in fallback)
 
 
+def assert_no_shared_row(rows, colors):
+    """Every (row, color) pair is hit by exactly one column."""
+    n_colors = int(colors.max()) + 1
+    assert np.array_equal(np.unique(colors), np.arange(n_colors))
+    pairs = np.unique(rows * n_colors + colors[:, None])
+    assert pairs.size == rows.size
+
+
 class TestJacobian:
     @pytest.mark.parametrize(
-        "shape", [(9,), (128,), (10, 12), (64, 64), (8, 8, 8)]
+        "shape",
+        [(9,), (67,), (128,), (10, 12), (32, 32), (50, 50), (64, 64), (8, 8, 8),
+         (16, 16, 16)],
     )
     def test_same_colored_columns_share_no_row(self, shape):
         rows, colors = solver_mod._jacobian_pattern(shape)
-        cols = np.repeat(np.arange(colors.size), rows.shape[1])
         assert rows.shape == (colors.size, {1: 5, 2: 13, 3: 25}[len(shape)])
-        # every (row, color) pair is hit by exactly one column
-        pairs = np.unique(np.stack([rows.ravel(), colors[cols]]), axis=1)
-        assert pairs.shape[1] == rows.size
+        assert_no_shared_row(rows, colors)
+
+    @pytest.mark.parametrize(
+        "shape, n_colors",
+        [((128,), 8), ((67,), 7), ((64, 64), 16), ((32, 32), 16), ((16, 16, 16), 32)],
+    )
+    def test_color_counts(self, shape, n_colors):
+        # lattice colorings on the solver's grids; 67 is prime and keeps
+        # greedy, and on 128 both take 8 colors
+        _, colors = solver_mod._jacobian_pattern(shape)
+        assert int(colors.max()) + 1 == n_colors
+
+    def test_one_dimensional_coloring_is_greedy(self):
+        _, colors = solver_mod._jacobian_pattern((128,))
+        assert np.array_equal(colors, solver_mod._greedy_colors((128,)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(*[st.integers(8, 40)] * dim)
+    ))
+    def test_coloring_is_valid_and_never_beaten_by_greedy(self, shape):
+        rows, colors = solver_mod._jacobian_pattern.__wrapped__(shape)
+        assert_no_shared_row(rows, colors)
+        greedy = solver_mod._greedy_colors(shape)
+        assert colors.max() <= greedy.max()
 
     @pytest.mark.parametrize(
         "dim, m, curved, target",
@@ -315,11 +371,37 @@ class TestJacobian:
 
         # _residual sees both the Jacobian's and the trial points' residuals
         monkeypatch.setattr(solver_mod, "_residual", counting)
+        # residual_field serves the Jacobians only
+        jacobian_calls = []
+        real_field = solver_mod.residual_field
+
+        def counting_field(graph, target):
+            jacobian_calls.append(1)
+            return real_field(graph, target)
+
+        monkeypatch.setattr(solver_mod, "residual_field", counting_field)
         model = default_model(2, resolution=64, twist="separable_gauss")
         cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
         outcome = solve(model, cfg)
         assert outcome.tag == "converged"
         assert len(calls) < 400
+        # 4 Newton steps of 16 colors: 128 for the Jacobians, the rest for
+        # trial points (205 with the 25-color greedy coloring)
+        assert len(calls) <= 140
+        # each step logs its Jacobian's two residuals per color
+        newton = [e for e in outcome.log if e["phase"] == "newton"]
+        assert [e["jacobian_residuals"] for e in newton] == [32] * len(newton)
+        assert len(jacobian_calls) == 32 * len(newton)
+
+    def test_maximal_3d_solve_uses_few_residual_evaluations(self, monkeypatch):
+        # 4 Newton steps of 32 colors on 16^3 (485 with 60 greedy colors)
+        _, residuals = count_kits_and_residuals(monkeypatch)
+        model = default_model(3, twist="separable_gauss")
+        assert model.fiber.shape == (16, 16, 16)
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 4, "amplitude": 0.1})
+        outcome = solve(model, cfg)
+        assert outcome.tag == "converged"
+        assert len(residuals) <= 280
 
     def test_builder_fault_propagates(self, monkeypatch):
         # a programming error must not be read as "fall back to relaxation"
@@ -338,6 +420,7 @@ class TestJacobian:
         newton = [e for e in solve(model, cfg).log if e["phase"] == "newton"]
         assert newton
         assert all(e["krylov_info"] == 0 for e in newton)
+        assert all(e["jacobian_residuals"] == 16 for e in newton)  # 8 colors
         # the expanding model ends in drift, and every step reports lgmres's
         # exit code and its J products
         model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
@@ -354,6 +437,7 @@ class TestJacobian:
         for e in newton:
             assert type(e["krylov_info"]) is int and e["krylov_info"] >= 0
             assert type(e["krylov_matvecs"]) is int and e["krylov_matvecs"] >= 1
+            assert e["jacobian_residuals"] == 16
 
 
 def _wide_stencil(offsets):
