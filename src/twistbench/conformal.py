@@ -17,9 +17,11 @@ import numpy as np
 from .errors import DomainError
 from .graphs import (
     _kit,
+    _laplacian_tau_fiber,
     _mean_curvature,
+    _small_det,
+    _small_solve,
     coordinate_laplacian,
-    laplacian_tau_fiber,
 )
 from .profiles import TrigPolynomial
 
@@ -173,9 +175,7 @@ def conformal_laplacian_check(h, phi, graph):
     lap1 = coordinate_laplacian(grid, g1, h)
     dphi = grid.partials(phi_vals)
     dh = grid.partials(h)
-    pairing = np.einsum(
-        "...i,...i->...", dphi, np.linalg.solve(g1, dh[..., None])[..., 0]
-    )
+    pairing = np.einsum("...i,...i->...", dphi, _small_solve(g1, dh, _small_det(g1)))
     rhs = np.exp(-2.0 * phi_vals) * (lap1 + (grid.dim - 2) * pairing)
     return ConformalCheck(lhs=lhs, rhs=rhs)
 
@@ -235,12 +235,10 @@ def static_laplacian_check(graph):
     # independent route from the exact chain-rule partials used above.
     dlog_alpha_cov = grid.partials(np.log(alpha))
     pairing = np.einsum(
-        "...i,...i->...",
-        dlog_alpha_cov,
-        np.linalg.solve(g1, kit.du[..., None])[..., 0],
+        "...i,...i->...", dlog_alpha_cov, _small_solve(g1, kit.du, _small_det(g1))
     )
 
-    lap_fiber = laplacian_tau_fiber(graph)
+    lap_fiber = _laplacian_tau_fiber(kit)
     relation = ConformalCheck(
         lhs=lap_tilde, rhs=alpha ** -2 * (lap_fiber + (n - 2) * pairing)
     )

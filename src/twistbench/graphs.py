@@ -89,10 +89,8 @@ class _Kit:
         self.grid = grid
         self.n = grid.dim
         self.u = u
-        self.f = twist.value(u, grid)
-        self.dtf = twist.dt(u, grid)
+        self.f, self.dtf, self.fiber_df = twist.evaluate(u, grid)
         self.dlogf = self.dtf / self.f
-        self.fiber_df = twist.fiber_partials(u, grid)
 
         self.du = grid.partials(u)                       # covector D_i u
         self.grad_u = self.du / grid.metric_diag         # contravariant
@@ -162,6 +160,59 @@ def _kit(graph, require_spacelike=True):
 
 
 # ---------------------------------------------------------------------------
+# per-node algebra of assembled n x n metrics, n = 1, 2, 3 (FiberGrid's range)
+
+def _small_det(g):
+    """Per-node determinant of ``g`` (shape ``+ (n, n)``) by cofactor expansion."""
+    n = g.shape[-1]
+    if n == 1:
+        return g[..., 0, 0].copy()
+    if n == 2:
+        return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    # expansion along the first row
+    det = g[..., 0, 0] * (g[..., 1, 1] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 1])
+    det -= g[..., 0, 1] * (g[..., 1, 0] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 0])
+    det += g[..., 0, 2] * (g[..., 1, 0] * g[..., 2, 1] - g[..., 1, 1] * g[..., 2, 0])
+    return det
+
+
+def _small_solve(g, v, det):
+    """Per-node solution x of g x = v through the adjugate: x = adj(g) v / det.
+
+    ``v`` has shape ``+ (n,)`` and ``det`` is ``_small_det(g)``.  No symmetry
+    of ``g`` is assumed.  Each output component is accumulated from the
+    cofactors of one column of ``g``, so no n x n intermediate is formed.
+    """
+    n = g.shape[-1]
+    x = np.empty(v.shape)
+    if n == 1:
+        np.divide(v[..., 0], g[..., 0, 0], out=x[..., 0])
+        return x
+    if n == 2:
+        a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+        v0, v1 = v[..., 0], v[..., 1]
+        np.divide(d * v0 - b * v1, det, out=x[..., 0])
+        np.divide(a * v1 - c * v0, det, out=x[..., 1])
+        return x
+    for i in range(3):
+        # x_i = sum_j C_ji v_j / det, with C_ji the cofactor of entry (j, i):
+        # the 2 x 2 minor on the other rows p, q and columns k, l, taken in
+        # cyclic order, which carries the sign (-1)^(i+j)
+        k, l = (i + 1) % 3, (i + 2) % 3
+        acc = x[..., i]
+        for j in range(3):
+            p, q = (j + 1) % 3, (j + 2) % 3
+            cof = g[..., p, k] * g[..., q, l] - g[..., p, l] * g[..., q, k]
+            cof *= v[..., j]
+            if j:
+                acc += cof
+            else:
+                acc[...] = cof
+        acc /= det
+    return x
+
+
+# ---------------------------------------------------------------------------
 # causal character
 
 def spacelike_margin(graph):
@@ -216,7 +267,7 @@ def induced_metric(graph):
     g = kit.metric()
     return InducedMetric(
         matrix=g,
-        det_direct=np.linalg.det(g),
+        det_direct=_small_det(g),
         det_factored=kit.det_factored(),
     )
 
@@ -234,13 +285,16 @@ def coordinate_laplacian(grid, metric, phi):
     """Divergence-form Laplacian of phi for an arbitrary per-node metric.
 
     lap phi = det(g)^{-1/2} sum_i D_i( det(g)^{1/2} (g^{-1} d phi)^i ).
+
+    det g and g^{-1} d phi come from the closed-form cofactor expansion and
+    adjugate of each node's matrix, a generic inverse that reads nothing but
+    ``metric``.
     """
-    det = np.linalg.det(metric)
+    det = _small_det(metric)
     if np.any(det <= 0.0):
         raise ValueError("metric must be positive definite for the coordinate Laplacian")
+    X = _small_solve(metric, grid.partials(phi), det)
     sq = np.sqrt(det)
-    dphi = grid.partials(phi)
-    X = np.linalg.solve(metric, dphi[..., None])[..., 0]
     out = np.zeros(grid.shape)
     for i in range(grid.dim):
         out += grid.diff(sq * X[..., i], axis=i)
@@ -252,7 +306,11 @@ def laplacian_tau_fiber(graph):
 
     lap tau = rho f^(2-n) g_F(grad_F(rho f^n), grad_F u) + rho^2 f^2 lap_F u.
     """
-    kit = _kit(graph)
+    return _laplacian_tau_fiber(_kit(graph))
+
+
+def _laplacian_tau_fiber(kit):
+    """``laplacian_tau_fiber`` from a kit the caller already holds."""
     grid = kit.grid
     weight = kit.rho * kit.f ** kit.n
     term1 = kit.rho * kit.f ** (2 - kit.n) * grid.inner(grid.gradient(weight), kit.grad_u)
@@ -263,9 +321,11 @@ def laplacian_tau_fiber(graph):
 def laplacian_tau_coordinate(graph):
     """Independent path: coordinate Laplacian of u under the induced metric.
 
-    Assembles g per node, solves for the metric gradient directly (not via
-    the closed form) and applies the divergence-form stencil with weight
-    sqrt(det g).  The kit is released before the per-node factorizations.
+    Assembles g per node, takes its determinant and solves for the metric
+    gradient by the adjugate of each assembled matrix (not via the closed
+    form rho^-2 f^(2n-4) det g_F) and applies the divergence-form stencil
+    with weight sqrt(det g).  The kit is released before the per-node
+    algebra.
     """
     return coordinate_laplacian(graph.grid, _kit(graph).metric(), graph.u)
 
@@ -359,8 +419,12 @@ def warped_obstruction(graph):
     detector.
     """
     kit = _kit(graph)
-    g = kit.metric()
-    grad_f = np.linalg.solve(g, kit.composed_df()[..., None])[..., 0]
+    return _warped_obstruction(kit, kit.metric())
+
+
+def _warped_obstruction(kit, g):
+    """``warped_obstruction`` from a kit and its assembled metric ``g``."""
+    grad_f = _small_solve(g, kit.composed_df(), _small_det(g))
     gt = ((kit.f * kit.rho) ** 2)[..., None] * kit.grad_u
     X = -kit.dtf[..., None] * gt + grad_f
     norm_sq = np.einsum("...i,...ij,...j->...", X, g, X)
@@ -525,7 +589,7 @@ def geometry_report(graph):
     kit = _kit(graph)
     g = kit.metric()
     det_factored = kit.det_factored()
-    obstruction = warped_obstruction(graph)
+    obstruction = _warped_obstruction(kit, g)
     return GeometryReport(
         graph=graph,
         margin=kit.mu,
@@ -533,9 +597,9 @@ def geometry_report(graph):
         cosh_theta=kit.cosh,
         sinh_sq=kit.sinh_sq,
         mean_curvature=kit.H,
-        laplacian_tau=laplacian_tau_fiber(graph),
+        laplacian_tau=_laplacian_tau_fiber(kit),
         metric=g,
-        det_direct=np.linalg.det(g),
+        det_direct=_small_det(g),
         det_factored=det_factored,
         area_element=np.sqrt(det_factored),
         obstruction=obstruction.components,

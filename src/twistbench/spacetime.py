@@ -80,6 +80,22 @@ class TwistedFunction:
 
     # -- evaluators --------------------------------------------------------
 
+    def _profiles(self, t, order):
+        """Time profiles (g, q) of derivative ``order`` at t; q only for additive."""
+        g = (self.g.value, self.g.deriv)[order](t)
+        if self.family != "additive":
+            return g, None
+        return g, (self.q.value, self.q.deriv)[order](t)
+
+    def _combine(self, t, grid, g, q):
+        """f, or one of its time derivatives, from the profiles of that order."""
+        if self.family == "pure_time":
+            return np.broadcast_to(g, np.broadcast(t, grid.coords[0]).shape).copy()
+        # g (1 + eps s) and g + eps s q round differently: keep both forms
+        if self.family == "separable":
+            return g * (1.0 + self.eps * grid.sample(self.s))
+        return g + self.eps * grid.sample(self.s) * q
+
     def _time_derivative(self, t, grid, order):
         """d^order f / dt^order at (t, x), for order 0 or 1."""
         t = np.asarray(t, dtype=float)
@@ -88,13 +104,26 @@ class TwistedFunction:
             if order:
                 return self.amp * w * np.cos(phase)
             return 1.0 + self.amp * np.sin(phase)
-        g = (self.g.value, self.g.deriv)[order](t)
+        return self._combine(t, grid, *self._profiles(t, order))
+
+    def _partials(self, t, grid, g, q):
+        """Fiber partials from the order-0 profiles g, q (unused where f has
+        no fiber dependence through them)."""
+        shape = np.broadcast(t, grid.coords[0]).shape
+        out = np.zeros(shape + (grid.dim,))
         if self.family == "pure_time":
-            return np.broadcast_to(g, np.broadcast(t, grid.coords[0]).shape).copy()
-        # g (1 + eps s) and g + eps s q round differently: keep both forms
-        if self.family == "separable":
-            return g * (1.0 + self.eps * grid.sample(self.s))
-        return g + self.eps * grid.sample(self.s) * (self.q.value, self.q.deriv)[order](t)
+            return out
+        if self.family == "traveling":
+            w, phase = self._traveling_phase(t, grid)
+            out[..., 0] = self.amp * w * np.cos(phase)
+        elif self.family == "separable":
+            g_eps = g * self.eps
+            for i in range(grid.dim):
+                out[..., i] = g_eps * grid.sample(self.s, i)
+        else:
+            for i in range(grid.dim):
+                out[..., i] = self.eps * grid.sample(self.s, i) * q
+        return out
 
     def value(self, t, grid):
         return self._time_derivative(t, grid, 0)
@@ -105,22 +134,19 @@ class TwistedFunction:
     def fiber_partials(self, t, grid):
         """Exact partials (d f / d x_i), shape ``grid.shape + (n,)``."""
         t = np.asarray(t, dtype=float)
-        shape = np.broadcast(t, grid.coords[0]).shape
-        out = np.zeros(shape + (grid.dim,))
-        if self.family == "pure_time":
-            return out
+        if self.family in ("pure_time", "traveling"):
+            return self._partials(t, grid, None, None)
+        return self._partials(t, grid, *self._profiles(t, 0))
+
+    def evaluate(self, t, grid):
+        """(f, d/dt f, fiber partials) at (t, x), bitwise ``value``, ``dt`` and
+        ``fiber_partials``; f and the partials share one evaluation of the
+        time profiles."""
+        t = np.asarray(t, dtype=float)
         if self.family == "traveling":
-            w, phase = self._traveling_phase(t, grid)
-            out[..., 0] = self.amp * w * np.cos(phase)
-        elif self.family == "separable":
-            g_eps = self.g.value(t) * self.eps
-            for i in range(grid.dim):
-                out[..., i] = g_eps * grid.sample(self.s, i)
-        else:
-            q = self.q.value(t)
-            for i in range(grid.dim):
-                out[..., i] = self.eps * grid.sample(self.s, i) * q
-        return out
+            return self.value(t, grid), self.dt(t, grid), self.fiber_partials(t, grid)
+        g, q = self._profiles(t, 0)
+        return self._combine(t, grid, g, q), self.dt(t, grid), self._partials(t, grid, g, q)
 
     # -- conveniences -------------------------------------------------------
 

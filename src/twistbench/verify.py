@@ -8,6 +8,7 @@ resolution and are gated by fixed tolerances (their order study is skipped).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +43,24 @@ __all__ = [
 ]
 
 
+_STATIC_FIELDS = ("main", "laplacian_relation", "gradient_pairing")
+
+
 @dataclass
 class _Context:
     model: object
     graphs: list
     seed0: int
+
+    @cached_property
+    def static_defects(self):
+        """Per corpus graph, the max defect of each static-frame identity,
+        keyed by its ``StaticFrameChecks`` field: one check per graph serves
+        all three identities, and only the scalars are kept."""
+        return [
+            {name: getattr(check, name).max_defect for name in _STATIC_FIELDS}
+            for check in map(static_laplacian_check, self.graphs)
+        ]
 
     def random_scalar(self, offset, amplitude=0.4):
         grid = self.model.fiber
@@ -109,15 +123,15 @@ def _conformal_laplacian(ctx):
 
 
 def _static_main(ctx):
-    return [static_laplacian_check(g).main.max_defect for g in ctx.graphs]
+    return [d["main"] for d in ctx.static_defects]
 
 
 def _static_laplacian_relation(ctx):
-    return [static_laplacian_check(g).laplacian_relation.max_defect for g in ctx.graphs]
+    return [d["laplacian_relation"] for d in ctx.static_defects]
 
 
 def _static_gradient_pairing(ctx):
-    return [static_laplacian_check(g).gradient_pairing.max_defect for g in ctx.graphs]
+    return [d["gradient_pairing"] for d in ctx.static_defects]
 
 
 def _product_rule(ctx):

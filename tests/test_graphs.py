@@ -5,6 +5,9 @@ from twistbench import (
     DomainError,
     GraphField,
     SpacelikeError,
+    SpacetimeModel,
+    TimeProfile,
+    TwistedFunction,
     area,
     area_gradient_check,
     coordinate_laplacian,
@@ -25,9 +28,24 @@ from twistbench import (
     unit_normal,
     warped_obstruction,
 )
-from twistbench.graphs import _kit, _mean_curvature
+from twistbench.graphs import (
+    _kit,
+    _laplacian_tau_fiber,
+    _mean_curvature,
+    _small_det,
+    _small_solve,
+    _warped_obstruction,
+)
 
-from conftest import assert_bitwise, flat_grw_model, stack_partials, sum_inner, zeros_divergence
+from conftest import (
+    assert_bitwise,
+    flat_grw_model,
+    random_trig_field,
+    stack_partials,
+    sum_inner,
+    unit_torus,
+    zeros_divergence,
+)
 
 
 def near_critical_sine(model, delta):
@@ -170,6 +188,87 @@ class TestInducedMetric:
             result = induced_metric(graph)
             rel = np.abs(result.det_direct - result.det_factored) / result.det_direct
             assert np.max(rel) <= 1e-10
+
+
+class TestSmallMetricAlgebra:
+    """The closed-form per-node determinant and adjugate solve against LAPACK."""
+
+    @staticmethod
+    def node_rel(x, y):
+        """Per-node relative difference of vectors (or scalars) x and y."""
+        if x.ndim == y.ndim == 1:
+            return np.abs(x - y) / np.abs(y)
+        return np.linalg.norm(x - y, axis=-1) / np.linalg.norm(y, axis=-1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_spd_metrics_match_lapack(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        A = rng.normal(size=(500, dim, dim))
+        g = A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(dim)
+        v = rng.normal(size=(500, dim))
+        det = _small_det(g)
+        assert np.max(self.node_rel(det, np.linalg.det(g))) <= 1e-13
+        x = _small_solve(g, v, det)
+        assert x.shape == v.shape
+        assert np.max(self.node_rel(x, np.linalg.solve(g, v[..., None])[..., 0])) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_general_matrices_match_lapack(self, dim):
+        # no symmetry assumed: a transposed cofactor shows on these
+        rng = np.random.default_rng(200 + dim)
+        g = rng.normal(size=(500, dim, dim)) + 3.0 * np.eye(dim)
+        v = rng.normal(size=(500, dim))
+        det = _small_det(g)
+        assert np.max(self.node_rel(det, np.linalg.det(g))) <= 1e-13
+        x = _small_solve(g, v, det)
+        assert np.max(self.node_rel(x, np.linalg.solve(g, v[..., None])[..., 0])) <= 1e-13
+
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("target", [0.5, 0.9, 0.99])
+    def test_induced_metrics_up_to_margin_099(self, dim, m, target):
+        # f = 1 over a curved fiber: the margin is |grad_F u|, linear in the
+        # amplitude, so the graph is scaled onto the target margin.  The
+        # metric's smallest eigenvalue is about f^2 (1 - mu^2) times the fiber
+        # metric's, so the tolerance scales with 1 / (1 - mu^2).
+        grid = unit_torus(dim, m, curved=True)
+        twist = TwistedFunction("pure_time", g=TimeProfile("constant", {"c": 1.0}))
+        model = SpacetimeModel((-1.0, 1.0), grid, twist)
+        u = random_trig_field(grid, seed=30 + dim)
+        u *= target / float(spacelike_margin(GraphField(model, u)).max())
+        graph = GraphField(model, u)
+        mu = float(spacelike_margin(graph).max())
+        assert abs(mu - target) <= 1e-12
+        tol = 1e-13 / (1.0 - mu * mu)
+        kit = _kit(graph)
+        g = kit.metric()
+        det = _small_det(g)
+        assert np.max(self.node_rel(det, np.linalg.det(g))) <= tol
+        x = _small_solve(g, kit.du, det)
+        assert np.max(self.node_rel(x, np.linalg.solve(g, kit.du[..., None])[..., 0])) <= tol
+        assert np.max(np.abs(induced_metric(graph).det_direct - det)) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_coordinate_laplacian_rejects_non_positive_determinant(self, dim):
+        grid = unit_torus(dim, 8)
+        phi = np.sin(2.0 * np.pi * grid.coords[0])
+        flipped = grid.metric_matrix()
+        flipped[..., 0, 0] *= -1.0          # det < 0
+        singular = grid.metric_matrix()
+        singular[..., 0, 0] = 0.0           # det = 0
+        for metric in (flipped, singular):
+            with pytest.raises(ValueError):
+                coordinate_laplacian(grid, metric, phi)
+
+    def test_coordinate_laplacian_matches_a_lapack_reference(self):
+        model = default_model(3, resolution=12, twist="separable_gauss", curved=True)
+        graph = random_trig_graph(model, seed=7, amplitude=0.08)
+        grid = model.fiber
+        g = _kit(graph).metric()
+        sq = np.sqrt(np.linalg.det(g))
+        X = np.linalg.solve(g, grid.partials(graph.u)[..., None])[..., 0]
+        reference = sum(grid.diff(sq * X[..., i], axis=i) for i in range(3)) / sq
+        got = coordinate_laplacian(grid, g, graph.u)
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 class TestGradTau:
@@ -414,6 +513,36 @@ class TestGeometryReport:
         summary = report.summary()
         assert summary["nodes"] == model.fiber.n_nodes
         assert summary["det_two_path_rel_defect"] <= 1e-10
+
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (3, 8)])
+    def test_one_kit_report_is_bytewise_the_per_function_one(self, dim, m):
+        model = default_model(dim, resolution=m, twist="additive", curved=True)
+        graph = random_trig_graph(model, seed=21, amplitude=0.05)
+        report = geometry_report(graph)
+        # the same report from fresh kits, one per function, as the public
+        # functions compute it
+        kit = _kit(graph)
+        obstruction = warped_obstruction(graph)
+        expected = {
+            "metric": kit.metric(),
+            "det_direct": induced_metric(graph).det_direct,
+            "laplacian_tau": laplacian_tau_fiber(graph),
+            "obstruction": obstruction.components,
+            "obstruction_norm": obstruction.norm,
+            "mean_curvature": mean_curvature(graph),
+        }
+        for name, value in expected.items():
+            assert_bitwise(getattr(report, name), value)
+
+    def test_kit_forms_match_the_public_functions(self):
+        model = default_model(3, resolution=8, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=22, amplitude=0.05)
+        kit = _kit(graph)
+        assert_bitwise(_laplacian_tau_fiber(kit), laplacian_tau_fiber(graph))
+        got = _warped_obstruction(kit, kit.metric())
+        want = warped_obstruction(graph)
+        assert_bitwise(got.components, want.components)
+        assert got.max_norm == want.max_norm
 
     def test_near_lightlike_nodes_are_flagged(self):
         model = flat_grw_model()

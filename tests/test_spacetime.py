@@ -16,7 +16,7 @@ from twistbench import (
 )
 from twistbench.verify import _spectral_diff
 
-from conftest import ripple, unit_torus
+from conftest import assert_bitwise, ripple, unit_torus
 
 
 STANDARD_TWISTS = (
@@ -128,6 +128,60 @@ class TestExactDerivatives:
             for i in range(dim):
                 spectral = _spectral_diff(grid, values, i)
                 assert np.max(np.abs(partials[..., i] - spectral)) <= 1e-10, (name, i)
+
+
+class TestEvaluate:
+    """``evaluate`` returns f, d/dt f and the fiber partials together, bitwise
+    what the three separate evaluators give, with one pass over each time
+    profile for f and the partials."""
+
+    @pytest.mark.parametrize(
+        "name, dim",
+        [(name, dim) for name in STANDARD_TWISTS for dim in (1, 2, 3)
+         if name != "traveling" or dim == 1],
+    )
+    def test_bitwise_the_separate_evaluators(self, name, dim):
+        model = default_model(dim, resolution=8, twist=name, curved=True)
+        grid = model.fiber
+        heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0])
+        for t in (0.2, heights):
+            f, dtf, partials = model.twist.evaluate(t, grid)
+            assert_bitwise(f, model.twist.value(t, grid))
+            assert_bitwise(dtf, model.twist.dt(t, grid))
+            assert_bitwise(partials, model.twist.fiber_partials(t, grid))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_separable_matches_the_closed_form(self, dim):
+        # reference: g(t) (1 + eps s), g'(t) (1 + eps s) and g(t) eps d_i s,
+        # each with g evaluated on its own, as the evaluators did before
+        model = default_model(dim, resolution=8, twist="separable_exp", curved=True)
+        twist, grid = model.twist, model.fiber
+        t = 0.3 + 0.2 * np.cos(2.0 * np.pi * grid.coords[-1])
+        f, dtf, partials = twist.evaluate(t, grid)
+        assert_bitwise(f, twist.g.value(t) * (1.0 + twist.eps * grid.sample(twist.s)))
+        assert_bitwise(dtf, twist.g.deriv(t) * (1.0 + twist.eps * grid.sample(twist.s)))
+        expected = np.zeros(grid.shape + (dim,))
+        for i in range(dim):
+            expected[..., i] = twist.g.value(t) * twist.eps * grid.sample(twist.s, i)
+        assert_bitwise(partials, expected)
+
+    def test_one_profile_pass_per_kit(self, monkeypatch):
+        from twistbench import random_trig_graph
+        from twistbench.graphs import _kit
+
+        model = default_model(2, resolution=16, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=3, amplitude=0.05)
+        calls = {"value": 0, "deriv": 0}
+        for method in calls:
+            original = getattr(TimeProfile, method)
+
+            def counted(self, t, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, t)
+
+            monkeypatch.setattr(TimeProfile, method, counted)
+        _kit(graph)
+        assert calls == {"value": 1, "deriv": 1}
 
 
 class TestConstructor:

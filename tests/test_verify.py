@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from twistbench import FiberGrid, default_model
+from twistbench import FiberGrid, conformal, default_model, graphs, verify
 from twistbench.verify import (
     DEFAULT_THRESHOLDS,
     IDENTITY_KINDS,
@@ -107,3 +109,64 @@ class TestConvergenceStudy:
         assert IDENTITY_KINDS["support_identity"] == "exact"
         assert IDENTITY_KINDS["mean_curvature_two_path"] == "order2"
         assert set(DEFAULT_THRESHOLDS) >= set(IDENTITY_KINDS)
+
+
+class TestVerifyPathCounts:
+    """Count ceilings for the 3-D verify path: the default suite on the 16^3
+    desk model (five corpus graphs), then the one-graph laplacian_tau
+    convergence study 16^3 -> 32^3 -> 64^3."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_ceilings(self, monkeypatch):
+        calls = dict.fromkeys(
+            ("det", "solve", "static_laplacian_check", "coordinate_laplacian"), 0
+        )
+        self.counting(monkeypatch, np.linalg, "det", calls)
+        self.counting(monkeypatch, np.linalg, "solve", calls)
+        self.counting(monkeypatch, verify, "static_laplacian_check", calls)
+        # imported by name into conformal as well
+        self.counting(monkeypatch, graphs, "coordinate_laplacian", calls)
+        monkeypatch.setattr(conformal, "coordinate_laplacian", graphs.coordinate_laplacian)
+
+        model = default_model(3, resolution=16, twist="separable_gauss")
+        rows = run_identity_suite(model, count=5)
+        assert all(r["pass"] for r in rows)
+        assert calls["static_laplacian_check"] == 5      # once per corpus graph
+        suite_laplacians = calls["coordinate_laplacian"]
+        run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
+        assert calls["det"] == 0 and calls["solve"] == 0
+        # measured: 55 in the suite (5 mean-curvature and 5 laplacian_tau
+        # two-paths, 5 x 4 conformal factors x 2 sides, 5 static checks)
+        # and 3 in the study; 68 when each static identity ran its own check
+        assert suite_laplacians <= 55
+        assert calls["coordinate_laplacian"] <= 58
+
+    def test_rows_match_one_static_check_per_identity(self, monkeypatch):
+        model = default_model(3, resolution=8, twist="separable_gauss", curved=True)
+        shared = run_identity_suite(model, count=2)
+
+        def per_identity(field):
+            def evaluate(ctx):
+                return [
+                    getattr(verify.static_laplacian_check(g), field).max_defect
+                    for g in ctx.graphs
+                ]
+            return evaluate
+
+        for name, field in [
+            ("static_main", "main"),
+            ("static_laplacian_relation", "laplacian_relation"),
+            ("static_gradient_pairing", "gradient_pairing"),
+        ]:
+            monkeypatch.setitem(verify._REGISTRY, name, (per_identity(field), "order2"))
+        separate = run_identity_suite(model, count=2)
+        assert json.dumps(shared) == json.dumps(separate)
