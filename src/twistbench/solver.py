@@ -23,6 +23,16 @@ The Jacobian is a variable-coefficient elliptic stencil on a periodic
 lattice, so lgmres is preconditioned with the inverse of its
 Frobenius-nearest circulant (T. F. Chan, SIAM J. Sci. Stat. Comput. 1988):
 the stencil averaged over the lattice, inverted mode by mode with the FFT.
+
+The centred difference cannot see the means of the 2^e parity sublattices
+(e the number of even-sized axes), so the Jacobian can be near-null there:
+on the constant of a slice family, or on the constant and checkerboard of an
+expanding model with no solution.  Each Newton step measures J on those
+means, and when its smallest singular value falls far below the circulant
+symbol on every other mode the Krylov solve is gauge-fixed: it runs with
+the sublattice means projected out (deflation, Frank and Vuik, SIAM J. Sci.
+Comput. 2001).  When nearly all of the residual lies in those means, Newton
+hands over to the relaxation fallback, which alone moves them.
 """
 
 import functools
@@ -31,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import svdvals
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import LinearOperator, lgmres
 
@@ -61,6 +72,20 @@ _STEP_ERRORS = (SpacelikeError, DomainError, np.linalg.LinAlgError)
 
 # the residual at a node reads u on the L1 ball of this radius around it
 _RESIDUAL_REACH = 2
+
+# A Newton step runs gauge-fixed when the smallest singular value of the
+# Jacobian on the sublattice means is at most this fraction of the smallest
+# circulant-symbol magnitude over the other modes.  Both scale alike with the
+# grid.  Transition-model starts never read below 3e-3; on the expanding
+# model every plain lgmres solve above 1e-4 converged, and most below it
+# ran to their budget.
+_GAUGE_GATE = 1e-4
+
+# A gauge-fixed step hands over to the relaxation fallback when the
+# residual's part off the sublattice means is at most this fraction of it:
+# the rest is gauge motion, which only the fallback can remove, and no
+# gauge-fixed step can lower the residual by more than this fraction.
+_GAUGE_HANDOVER = 1e-3
 
 
 @dataclass
@@ -377,6 +402,55 @@ def _jacobian_pattern(shape):
     return rows, colors
 
 
+@functools.lru_cache(maxsize=8)
+def _sublattices(shape):
+    """Parity sublattices of ``shape`` along its e even-sized axes.
+
+    Returns (labels, flips, modes).  labels[j] in [0, 2^e) is the class of
+    flat node j: its binary digits are the coordinates of j mod 2 on the
+    even-sized axes, in axis order.  flips[k] is the label of the k-th
+    offset of the residual stencil: wrapping keeps parity on even axes, so
+    the stencil entry k of column j lies in row class labels[j] ^ flips[k].
+    ``modes`` marks the rfftn modes the class indicators span, those with
+    wavenumber 0 or m/2 on every axis.  The centred difference annihilates
+    these modes, so they are where the wide-stencil Jacobian can be
+    near-null.  On an all-odd grid the one class is the whole lattice and
+    its indicator the constant.
+    """
+    dim = len(shape)
+    index = np.indices(shape).reshape(dim, -1)
+    labels = np.zeros(index.shape[1], dtype=np.intp)
+    for axis, m in enumerate(shape):
+        if m % 2 == 0:
+            labels = 2 * labels + index[axis] % 2
+    # node 0 is in class 0, so the labels of its stencil are the flips
+    flips = labels[_periodic_neighbours(shape, _RESIDUAL_REACH, [0])[0]]
+    # a class indicator's spectrum is |class| on those modes and 0 elsewhere
+    spectrum = np.fft.rfftn((labels == 0).reshape(shape), axes=tuple(range(dim)))
+    modes = np.abs(spectrum) > 0.5
+    for array in (labels, flips, modes):
+        array.flags.writeable = False
+    return labels, flips, modes
+
+
+def _coarse_operator(values, shape):
+    """E = Z^T J Z / |class|, Z the sublattice indicators, from the stencil
+    ``values`` of J.  Each even axis m is split into (m/2, 2), so summing
+    over every other axis gives each class's column sums per stencil offset
+    without an N x K temporary; the sum for offset k of class b lands in
+    row class b ^ flips[k]."""
+    _, flips, _ = _sublattices(shape)
+    split, outer = [], []
+    for m in shape:
+        outer.append(len(split))
+        split.extend((m // 2, 2) if m % 2 == 0 else (m,))
+    sums = values.reshape(*split, -1).sum(axis=tuple(outer)).reshape(-1, len(flips))
+    classes = np.arange(len(sums))[:, None]
+    coarse = np.zeros((len(sums), len(sums)))
+    np.add.at(coarse, (classes ^ flips, classes), sums)
+    return coarse / (len(values) // len(sums))
+
+
 def _jacobian(driver, u):
     """Sparse Jacobian of ``driver.residual`` at u by colored central differences.
 
@@ -402,49 +476,70 @@ def _jacobian(driver, u):
     # column j holds the entries of its rows in its color's difference
     values = columns[colors[:, None], rows] / width[:, None]
     indptr = np.arange(0, rows.size + 1, rows.shape[1])
-    J = csc_array((values.ravel(), rows.flatten(), indptr), shape=(u.size, u.size))
+    # J owns a copy of its data: canonicalising J in place (abs(J),
+    # sort_indices) would otherwise permute the stencil values as well
+    J = csc_array((values.flatten(), rows.flatten(), indptr), shape=(u.size, u.size))
     return J, values
 
 
-def _circulant_preconditioner(values, shape):
-    """Inverse of the circulant nearest (in Frobenius norm) to the Jacobian.
-
-    Averaging the stencil ``values`` over columns gives one coefficient per
-    offset; placed at their wrapped offsets they form the circulant's
-    kernel, whose FFT is its symbol.  The inverse divides each Fourier mode
-    by the symbol, except modes whose symbol is at round-off (the constant
-    and grid-scale modes of a degenerate problem), which pass unchanged.
-    """
-    axes = tuple(range(len(shape)))
+def _circulant_symbol(values, shape):
+    """Symbol (rfftn) of the circulant nearest, in Frobenius norm, to the
+    Jacobian with stencil ``values``: averaging the stencil over columns
+    gives one coefficient per offset, placed at their wrapped offsets they
+    form the circulant's kernel, and its FFT is the symbol."""
     offsets = _lattice_ball(len(shape), _RESIDUAL_REACH) % np.array(shape)
     kernel = np.zeros(shape)
     kernel[tuple(offsets.T)] = values.mean(axis=0)
-    symbol = np.fft.rfftn(kernel, axes=axes)
+    return np.fft.rfftn(kernel, axes=tuple(range(len(shape))))
+
+
+def _circulant_preconditioner(symbol, shape):
+    """Inverse of the circulant with ``symbol`` (see ``_circulant_symbol``).
+
+    It divides each Fourier mode by the symbol, except modes whose symbol is
+    at round-off (the constant and grid-scale modes of a degenerate
+    problem), which pass unchanged.
+    """
+    axes = tuple(range(len(shape)))
     magnitude = np.abs(symbol)
-    symbol[magnitude <= 1e-14 * magnitude.max()] = 1.0
+    symbol = np.where(magnitude <= 1e-14 * magnitude.max(), 1.0, symbol)
 
     def apply(x):
         modes = np.fft.rfftn(x.reshape(shape), axes=axes) / symbol
         return np.fft.irfftn(modes, s=shape, axes=axes).ravel()
 
-    return LinearOperator((kernel.size, kernel.size), matvec=apply, dtype=float)
+    size = math.prod(shape)
+    return LinearOperator((size, size), matvec=apply, dtype=float)
 
 
 def _krylov_step(driver, u, R):
     """Inexact Newton direction: preconditioned lgmres on the sparse Jacobian.
 
     The Jacobian is assembled by ``_jacobian`` and handed to lgmres as a
-    linear operator, with ``_circulant_preconditioner`` of the same stencil
-    as M.  lgmres stops on the true residual |R + J d| <= krylov_rtol
-    |R|.  The residual evaluations the Jacobian took (two per color), the
-    lgmres exit info (0 = converged) and the number of J products it made
-    are kept on the driver for the iteration log.  When the Jacobian
-    annihilates the constant direction (one-parameter slice families make
-    the problem gauge-degenerate) the Krylov solution carries an arbitrary
-    constant component; it is detected with the probe J 1 and projected out
-    so iterates do not wander toward the interval ends.
+    linear operator, with the inverse of its nearest circulant
+    (``_circulant_preconditioner``) as M.  lgmres stops on the true residual
+    |R + J d| <= krylov_rtol |R|.
+
+    Each step first measures J on the coarse space of the parity
+    sublattices (``_sublattices``): E = Z^T J Z / |class|, Z the class
+    indicators.  When the smallest singular value of E is at most
+    ``_GAUGE_GATE`` times the smallest circulant-symbol magnitude over the
+    other Fourier modes, J is near-null on the sublattice means (a slice
+    family, or the constant/checkerboard pair of an expanding model), and
+    lgmres runs gauge-fixed instead (deflation, Frank and Vuik 2001): on
+    P J P with M -> P M P and right-hand side -P R, P projecting out the
+    sublattice means, and the direction is P d.  When |P R| <=
+    ``_GAUGE_HANDOVER`` |R| what remains of R is gauge motion, which no
+    gauge-fixed step can remove; the step returns None and the relaxation
+    fallback, the only thing that moves the mean, takes over.
+
+    The residual evaluations the Jacobian took (two per color), the lgmres
+    exit info (0 = converged), the number of J products it made and the
+    gauge ("none" or "sublattice") are kept on the driver for the iteration
+    log; a handover leaves its ``fallback_reason`` there instead.
     """
     config = driver.config
+    driver.direction = {}
     rnorm = float(np.max(np.abs(R)))
     calls = driver.residual_calls
     try:
@@ -452,8 +547,21 @@ def _krylov_step(driver, u, R):
     except _STEP_ERRORS:
         return None
     jacobian_residuals = driver.residual_calls - calls
-    probe = J @ np.ones(u.size)
-    constant_is_null = float(np.max(np.abs(probe))) <= 1e-8 * max(1.0, rnorm)
+
+    symbol = _circulant_symbol(values, u.shape)
+    labels, _, modes = _sublattices(u.shape)
+    coarse = _coarse_operator(values, u.shape)
+    # a non-finite stencil keeps the gate shut: the step is the ungated one
+    gauge_fixed = bool(
+        np.all(np.isfinite(coarse))
+        and svdvals(coarse, check_finite=False)[-1]
+        <= _GAUGE_GATE * np.abs(symbol)[~modes].min()
+    )
+    classes = len(coarse)
+
+    def project(x):
+        means = np.bincount(labels, weights=x, minlength=classes) / (x.size // classes)
+        return x - means[labels]
 
     products = 0
 
@@ -462,17 +570,33 @@ def _krylov_step(driver, u, R):
         products += 1
         return J @ x
 
+    operator = LinearOperator(J.shape, matvec=product, dtype=J.dtype)
+    M = _circulant_preconditioner(symbol, u.shape)
+    rhs = -R.ravel()
+    if gauge_fixed:
+        rhs = project(rhs)
+        if float(np.max(np.abs(rhs))) <= _GAUGE_HANDOVER * rnorm:
+            driver.direction = {"fallback_reason": "gauge_handover"}
+            return None
+        operator = LinearOperator(
+            J.shape, matvec=lambda x: project(product(project(x))), dtype=J.dtype
+        )
+        circulant = M
+        M = LinearOperator(
+            J.shape, matvec=lambda x: project(circulant.matvec(project(x))), dtype=float
+        )
+
     inner_m = 10
     maxiter = max(1, config.krylov_maxiter // inner_m)
     try:
         d, info = lgmres(
-            LinearOperator(J.shape, matvec=product, dtype=J.dtype),
-            -R.ravel(),
+            operator,
+            rhs,
             rtol=config.krylov_rtol,
             atol=0.0,
             inner_m=inner_m,
             maxiter=maxiter,
-            M=_circulant_preconditioner(values, u.shape),
+            M=M,
         )
     except _STEP_ERRORS:
         return None
@@ -480,11 +604,12 @@ def _krylov_step(driver, u, R):
         "jacobian_residuals": jacobian_residuals,
         "krylov_info": int(info),
         "krylov_matvecs": products,
+        "gauge": "sublattice" if gauge_fixed else "none",
     }
     if not np.all(np.isfinite(d)):
         return None
-    if constant_is_null:
-        d = d - d.mean()
+    if gauge_fixed:
+        d = project(d)
     # trust region: never propose more than a quarter of the interval
     peak = float(np.max(np.abs(d)))
     cap = 0.25 * driver.span
@@ -526,7 +651,7 @@ def _stable_pseudo_time_step(kit):
     return 0.9 / lam
 
 
-def _fallback_sweeps(driver, kit, R, rnorm, state):
+def _fallback_sweeps(driver, kit, R, rnorm, state, reason):
     """Pseudo-transient relaxation u <- u + ds cosh(theta) (H - target).
 
     The step follows the first variation of the area, so in a transition
@@ -535,7 +660,8 @@ def _fallback_sweeps(driver, kit, R, rnorm, state):
     Steps are capped at the explicit stability bound and rejected (with ds
     halved) if they inflate the residual.  The flow is read from the
     iterate's kit; an accepted trial point's kit becomes the next iterate.
-    Returns (kit, R, rnorm, drift_endpoint_or_None).
+    The first sweep's log entry carries ``reason`` as its
+    ``fallback_reason``.  Returns (kit, R, rnorm, drift_endpoint_or_None).
     """
     config = driver.config
     for _ in range(config.fallback_chunk):
@@ -564,7 +690,10 @@ def _fallback_sweeps(driver, kit, R, rnorm, state):
         state["ds"] = ds
         kit, R, rnorm = accepted
         state["sweeps"] += 1
-        driver.record("fallback", kit, rnorm, ds)
+        entry = driver.record("fallback", kit, rnorm, ds)
+        if reason is not None:
+            entry["fallback_reason"] = reason
+            reason = None
         endpoint = driver.update_drift(float(kit.u.mean()), rnorm)
         if endpoint is not None:
             return kit, R, rnorm, endpoint
@@ -681,7 +810,11 @@ def solve(model, config):
             entry.update(driver.direction)
             continue
 
-        kit, R, rnorm, endpoint = _fallback_sweeps(driver, kit, R, rnorm, state)
+        if direction is not None:
+            reason = "line_search"
+        else:
+            reason = driver.direction.get("fallback_reason", "no_direction")
+        kit, R, rnorm, endpoint = _fallback_sweeps(driver, kit, R, rnorm, state, reason)
         best_rnorm = min(best_rnorm, rnorm)
         if endpoint is not None:
             return SolveOutcome(

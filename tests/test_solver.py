@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 import twistbench.graphs as graphs_mod
 import twistbench.solver as solver_mod
 from twistbench import (
     DomainError,
+    FiberGrid,
     GraphField,
     SolveConfig,
     SpacelikeError,
+    SpacetimeModel,
+    TimeProfile,
+    TwistedFunction,
     certificate_check,
     default_model,
     mean_curvature,
@@ -361,6 +366,31 @@ class TestJacobian:
             Jv = (J @ v.ravel()).reshape(u.shape)
             assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(fd))
 
+    def test_canonicalising_J_leaves_the_stencil_and_preconditioner(self):
+        # J's rows are stored in stencil order, which wraps, so abs(J) and
+        # sort_indices reorder J.data in place; the stencil must not follow
+        model = default_model(2, resolution=16, twist="separable_gauss")
+        shape = model.fiber.shape
+        u = random_trig_graph(model, seed=3, amplitude=0.05).u
+        driver = solver_mod._Driver(model, SolveConfig(target=0.0))
+        J, values = solver_mod._jacobian(driver, u)
+        assert not J.has_sorted_indices
+        x = np.random.default_rng(0).standard_normal(u.size)
+        before = values.copy()
+
+        def preconditioned():
+            symbol = solver_mod._circulant_symbol(values, shape)
+            return solver_mod._circulant_preconditioner(symbol, shape).matvec(x)
+
+        Mx, Jx = preconditioned(), J @ x
+        abs(J)
+        J.sort_indices()
+        J.sum_duplicates()
+        assert not np.shares_memory(J.data, values)
+        assert np.array_equal(values, before)
+        assert np.array_equal(preconditioned(), Mx)
+        assert np.allclose(J @ x, Jx, rtol=1e-14, atol=0.0)
+
     def test_maximal_2d_solve_uses_few_residual_evaluations(self, monkeypatch):
         calls = []
         real = solver_mod._residual
@@ -468,7 +498,9 @@ class TestPreconditioner:
         modes = np.fft.rfftn(np.random.default_rng(dim).standard_normal(shape), axes=axes)
         modes[symbol <= 1e-14 * symbol.max()] = 0.0
         x = np.fft.irfftn(modes, s=shape, axes=axes).ravel()
-        M = solver_mod._circulant_preconditioner(values, shape)
+        M = solver_mod._circulant_preconditioner(
+            solver_mod._circulant_symbol(values, shape), shape
+        )
         assert np.max(np.abs(M.matvec(J @ x) - x)) <= 1e-10 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
@@ -479,7 +511,8 @@ class TestPreconditioner:
         shape = (m,) * dim
         offsets = solver_mod._lattice_ball(dim, solver_mod._RESIDUAL_REACH)
         stencil = _wide_stencil(offsets)
-        M = solver_mod._circulant_preconditioner(np.tile(stencil, (m**dim, 1)), shape)
+        symbol = solver_mod._circulant_symbol(np.tile(stencil, (m**dim, 1)), shape)
+        M = solver_mod._circulant_preconditioner(symbol, shape)
         x = np.random.default_rng(dim).standard_normal(shape)
         sublattice_means = np.empty(shape)
         for corner in np.ndindex(*(2,) * dim):
@@ -514,6 +547,180 @@ class TestPreconditioner:
         newton = [e for e in outcome.log if e["phase"] == "newton"]
         assert newton
         assert all(e["krylov_info"] == 0 for e in newton)
+
+
+def perturbed_grw_slice(shape, amplitude=1e-3):
+    """f = exp(t), flat fiber: every slice has H = 1.  Returns the model, a
+    slice at 0.3 plus a small ripple, and the ripple."""
+    grid = FiberGrid(len(shape), (1.0,) * len(shape), shape)
+    twist = TwistedFunction("pure_time", g=TimeProfile("exp", {"rate": 1.0}))
+    ripple = amplitude * np.sin(2 * np.pi * grid.coords[0])
+    return SpacetimeModel((-1.0, 1.0), grid, twist), 0.3 + ripple, ripple
+
+
+def sublattice_means(x, labels):
+    classes = int(labels.max()) + 1
+    return np.bincount(labels, weights=x.ravel(), minlength=classes) * classes / labels.size
+
+
+def count_lgmres(monkeypatch):
+    """Count lgmres solves, those that end unconverged, and J products."""
+    stats = {"solves": 0, "unconverged": 0, "products": 0}
+    real = solver_mod.lgmres
+
+    def counted(A, b, **kwargs):
+        def matvec(x):
+            stats["products"] += 1
+            return A.matvec(x)
+
+        d, info = real(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
+        stats["solves"] += 1
+        stats["unconverged"] += int(info != 0)
+        return d, info
+
+    monkeypatch.setattr(solver_mod, "lgmres", counted)
+    return stats
+
+
+class TestGauge:
+    @pytest.mark.parametrize("shape", [(67,), (128,), (9, 12), (8, 8, 8), (9, 9, 10)])
+    def test_sublattice_labels(self, shape):
+        labels, _, modes = solver_mod._sublattices(shape)
+        even = [m % 2 == 0 for m in shape]
+        classes = 2 ** sum(even)
+        assert np.array_equal(np.bincount(labels), np.full(classes, labels.size // classes))
+        # the label is the parity pattern along the even-sized axes
+        index = np.indices(shape).reshape(len(shape), -1)
+        expected = np.zeros(labels.size, dtype=int)
+        for axis in np.flatnonzero(even):
+            expected = 2 * expected + index[axis] % 2
+        assert np.array_equal(labels, expected)
+        # the marked modes have wavenumber 0 or m/2 on every axis, and the
+        # class indicators span exactly them
+        waves = np.meshgrid(*[np.arange(n) for n in modes.shape], indexing="ij")
+        marked = np.logical_and.reduce([(k == 0) | (2 * k == m) for k, m in zip(waves, shape)])
+        assert modes.shape == (*shape[:-1], shape[-1] // 2 + 1)
+        assert np.array_equal(modes, marked)
+        assert int(modes.sum()) == classes
+        axes = tuple(range(len(shape)))
+        for c in range(classes):
+            spectrum = np.fft.rfftn((labels == c).reshape(shape).astype(float), axes=axes)
+            assert np.max(np.abs(spectrum[~modes])) <= 1e-12
+            assert np.allclose(np.abs(spectrum[modes]), labels.size // classes)
+
+    @pytest.mark.parametrize("shape", [(67,), (128,), (9, 12), (10, 10), (8, 9, 10)])
+    def test_coarse_operator_is_the_jacobian_on_the_class_indicators(self, shape):
+        twist = default_model(len(shape), resolution=8, twist="separable_exp").twist
+        grid = FiberGrid(len(shape), (1.0,) * len(shape), shape)
+        model = SpacetimeModel((-1.0, 1.0), grid, twist)
+        u = 0.2 + 0.05 * np.cos(2 * np.pi * grid.coords[-1])
+        J, values = solver_mod._jacobian(solver_mod._Driver(model, SolveConfig()), u)
+        labels, _, _ = solver_mod._sublattices(shape)
+        classes = int(labels.max()) + 1
+        Z = (labels[:, None] == np.arange(classes)).astype(float)
+        expected = Z.T @ (J @ Z) / (labels.size // classes)
+        coarse = solver_mod._coarse_operator(values, shape)
+        # entries of E are averages of column sums that cancel
+        scale = np.abs(values).sum(axis=1).max()
+        assert np.max(np.abs(coarse - expected)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("shape", [(128,), (67,), (9, 12), (8, 8, 8)])
+    def test_gauge_degenerate_slice_is_deflated(self, shape):
+        # near a slice of a slice family J is near-null on the constant
+        # (and the checkerboards of even axes): the step runs gauge-fixed,
+        # keeps the sublattice means and undoes the ripple
+        model, u, ripple = perturbed_grw_slice(shape)
+        driver = solver_mod._Driver(model, SolveConfig(target=1.0))
+        _, R = driver.trial(u)
+        d = solver_mod._krylov_step(driver, u, R)
+        assert driver.direction["gauge"] == "sublattice"
+        assert driver.direction["krylov_info"] == 0
+        labels, _, _ = solver_mod._sublattices(shape)
+        assert np.max(np.abs(sublattice_means(d, labels))) <= 1e-12 * np.max(np.abs(d))
+        assert np.max(np.abs(d + ripple)) <= 0.05 * np.max(np.abs(ripple))
+
+    def test_pure_gauge_residual_hands_over_to_the_fallback(self):
+        # on a slice with an unattainable target all of R is the constant,
+        # which no gauge-fixed step can remove
+        model, _, _ = perturbed_grw_slice((128,))
+        driver = solver_mod._Driver(model, SolveConfig(target=1.001))
+        u = np.full(model.fiber.shape, 0.3)
+        _, R = driver.trial(u)
+        assert solver_mod._krylov_step(driver, u, R) is None
+        assert driver.direction == {"fallback_reason": "gauge_handover"}
+
+    def test_non_finite_jacobian_keeps_the_gate_shut(self, monkeypatch):
+        real = solver_mod._jacobian
+
+        def poisoned(driver, u):
+            J, values = real(driver, u)
+            values[0, 0] = J.data[0] = np.nan
+            return J, values
+
+        monkeypatch.setattr(solver_mod, "_jacobian", poisoned)
+        model = transition_model()
+        u = random_trig_graph(model, seed=4, amplitude=0.1).u
+        driver = solver_mod._Driver(model, SolveConfig(target=0.0))
+        _, R = driver.trial(u)
+        # the gate stays shut instead of raising; what lgmres makes of the
+        # poisoned J is the ungated step's business
+        with np.errstate(invalid="ignore"):
+            solver_mod._krylov_step(driver, u, R)
+        assert driver.direction["gauge"] == "none"
+
+    @pytest.mark.parametrize("center", [1.2, -1.2, 1.3, -1.3])
+    @pytest.mark.parametrize("dim, resolution", [(2, 64), (1, 512)])
+    def test_transition_starts_keep_their_mean_motion(self, dim, resolution, center):
+        # far from the transition slice the mean must still move: the gate
+        # stays shut on every step
+        model = default_model(dim, resolution=resolution, twist="separable_gauss")
+        initial = {"kind": "random_trig", "seed": 4, "amplitude": 0.1, "center": center}
+        outcome = solve(model, SolveConfig(target=0.0, initial=initial))
+        assert outcome.tag == "converged"
+        newton = [e for e in outcome.log if e["phase"] == "newton"]
+        assert newton
+        assert all(e["gauge"] == "none" for e in newton)
+
+    @pytest.mark.parametrize("seed", [1, 3, 6])
+    def test_drift_solve_converges_every_lgmres(self, monkeypatch, seed):
+        # the expanding model's Jacobian is near-null on the constant and
+        # the checkerboard; without the gauge these solves made 536-1,596
+        # J products, with 1-3 lgmres solves run to the budget
+        stats = count_lgmres(monkeypatch)
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        initial = {"kind": "random_trig", "seed": seed, "amplitude": 0.1}
+        outcome = solve(
+            model, SolveConfig(target=0.0, initial=initial, check_certificate=False)
+        )
+        assert outcome.tag == "nonexistence"
+        assert outcome.certificate["reason"] == "drift"
+        fallback = [e for e in outcome.log if e["phase"] == "fallback"]
+        assert len(fallback) == 21
+        assert fallback[0]["fallback_reason"] == "gauge_handover"
+        assert stats["solves"] >= 1
+        assert stats["unconverged"] == 0
+        assert stats["products"] <= 100
+        gauges = [e["gauge"] for e in outcome.log if e["phase"] == "newton"]
+        assert "sublattice" in gauges and set(gauges) <= {"none", "sublattice"}
+
+    @pytest.mark.parametrize(
+        "patched, reason", [("_line_search", "line_search"), ("_krylov_step", "no_direction")]
+    )
+    def test_first_sweep_after_a_newton_attempt_logs_why(self, monkeypatch, patched, reason):
+        monkeypatch.setattr(solver_mod, patched, lambda *args: None)
+        model = transition_model()
+        cfg = SolveConfig(
+            target=0.0,
+            initial={"kind": "random_trig", "seed": 6, "amplitude": 0.2, "center": 0.4},
+            max_newton_iters=3,
+            fallback_chunk=30,
+            fallback_max_sweeps=60,
+        )
+        fallback = [e for e in solve(model, cfg).log if e["phase"] == "fallback"]
+        assert len(fallback) == 60
+        logged = [(i, e["fallback_reason"]) for i, e in enumerate(fallback)
+                  if "fallback_reason" in e]
+        assert logged == [(0, reason), (30, reason)]
 
 
 class TestTrialPoints:
