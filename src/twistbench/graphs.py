@@ -78,21 +78,24 @@ class _Kit:
 
     What a residual reads is computed on construction; the margin, the boost
     and the mean curvature are computed on first use and then kept.
+
+    The kit reads the heights ``u`` and, unless ``du`` gives it, their
+    covector D_i u.  A given covector makes the kit pointwise: every
+    quantity but H is then a function of (u, du) node by node, which is
+    what the solver's Jacobian differentiates.  The heights are not checked
+    against the model's interval; ``GraphField`` does that.
     """
 
-    def __init__(self, graph, require_spacelike=True):
-        model = graph.model
-        grid = graph.grid
-        twist = model.twist
-        u = graph.u
+    def __init__(self, model, u, du=None, require_spacelike=True):
+        grid = model.fiber
 
         self.grid = grid
         self.n = grid.dim
         self.u = u
-        self.f, self.dtf, self.fiber_df = twist.evaluate(u, grid)
+        self.f, self.dtf, self.fiber_df = model.twist.evaluate(u, grid)
         self.dlogf = self.dtf / self.f
 
-        self.du = grid.partials(u)                       # covector D_i u
+        self.du = grid.partials(u) if du is None else du  # covector D_i u
         self.grad_u = self.du / grid.metric_diag         # contravariant
         self.grad_u_sq = grid.inner(self.grad_u, self.grad_u)
         self.support = self.f * self.f - self.grad_u_sq  # f^2 - |grad u|^2
@@ -133,6 +136,22 @@ class _Kit:
         """Mean curvature, fiber form (``mean_curvature``)."""
         return _mean_curvature(self)
 
+    def flux(self):
+        """rho grad_F u, the field whose fiber divergence is the first term
+        of n H."""
+        return self.rho[..., None] * self.grad_u
+
+    def curvature_terms(self):
+        """The pointwise terms of n H, in the order it adds them:
+        f^2 rho (n + |grad_F u|^2 / f^2) d/dt log f, then
+        n rho g_F(grad_F log f, grad_F u)."""
+        n = self.n
+        middle = self.f ** 2 * self.rho * (n + self.grad_u_sq / self.f ** 2) * self.dlogf
+        twist_pairing = n * self.rho * component_sum(
+            (self.fiber_df / self.f[..., None]) * self.grad_u
+        )
+        return middle, twist_pairing
+
     def metric(self):
         """Induced metric matrices g_ij = -D_i u D_j u + f^2 (g_F)_ij."""
         g = self.du[..., :, None] * self.du[..., None, :]
@@ -156,7 +175,7 @@ class _Kit:
 
 
 def _kit(graph, require_spacelike=True):
-    return _Kit(graph, require_spacelike=require_spacelike)
+    return _Kit(graph.model, graph.u, require_spacelike=require_spacelike)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +369,9 @@ def mean_curvature(graph):
 
 def _mean_curvature(kit):
     """``mean_curvature`` from a kit the caller already holds."""
-    grid = kit.grid
-    n = kit.n
-    div = grid.divergence(kit.rho[..., None] * kit.grad_u)
-    middle = kit.f ** 2 * kit.rho * (n + kit.grad_u_sq / kit.f ** 2) * kit.dlogf
-    twist_pairing = n * kit.rho * component_sum(
-        (kit.fiber_df / kit.f[..., None]) * kit.grad_u
-    )
-    return (div + middle + twist_pairing) / n
+    div = kit.grid.divergence(kit.flux())
+    middle, twist_pairing = kit.curvature_terms()
+    return (div + middle + twist_pairing) / kit.n
 
 
 def _variational_mean_curvature(kit):

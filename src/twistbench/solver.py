@@ -8,16 +8,14 @@ away toward an interval endpoint.  Converged outcomes are re-verified
 through both mean-curvature code paths before being reported.
 
 Newton directions come from lgmres on the assembled sparse Jacobian.  The
-residual at a node reads u only on the L1 ball of radius 2 around it (the
-wide central stencil applied twice), so columns whose stencils never share
-a row are perturbed together (Curtis, Powell and Reid 1974).  The columns
-are colored by a homomorphism of the periodic lattice onto a small cyclic
-group or product of two, whose kernel misses the L1 ball of radius 4: a
-modular coloring, 16 colors on 64^2 and 32 on 16^3.  Shapes without a
-lattice coloring smaller than the natural-order greedy one (prime-sized
-axes, say) keep greedy.  The coloring is computed once per grid shape, and
-the whole Jacobian comes from one pair of central-difference residuals per
-color.
+residual is in divergence form, R = S^-1 sum_i D_i(S F_i) + P with
+S = sqrt det g_F, the flux F = rho grad_F u and P the pointwise terms, and
+F and P are functions of (u, Du) node by node.  So the Jacobian follows
+from their derivatives in u and in each covector component p_l, which
+2(n+1) pointwise kits give by central differences, composed with the
+centred difference D: no residual is evaluated for it (the analytic side of
+the trade-off surveyed by Knoll and Keyes, J. Comput. Phys. 2004).  It
+reads u on the L1 ball of radius 2 around each node (D applied twice).
 
 The Jacobian is a variable-coefficient elliptic stencil on a periodic
 lattice, so lgmres is preconditioned with the inverse of its
@@ -49,6 +47,7 @@ from .errors import DomainError, SpacelikeError
 from .fiber_grid import component_sum
 from .graphs import (
     GraphField,
+    _Kit,
     _kit,
     geometry_report,
     mean_curvature_from_laplacian,
@@ -73,12 +72,24 @@ _STEP_ERRORS = (SpacelikeError, DomainError, np.linalg.LinAlgError)
 # the residual at a node reads u on the L1 ball of this radius around it
 _RESIDUAL_REACH = 2
 
+# the line search shrinks its step by this factor, down to this step
+_LINESEARCH_FACTOR = 0.5
+_MIN_STEP = 1e-8
+
+# A converged u is rejected when a class mean of u - mean(u) over the parity
+# sublattices exceeds this bound times 1 + max|u|: a grid-scale mode that the
+# centred difference, and so the residual and both curvature paths, cannot
+# see.  Every converged outcome of the test suite reads at most 1.8e-15; the
+# sawtooth 0.1 + 0.05 (-1)^|i| reads 0.05.
+_SUBLATTICE_BOUND = 1e-12
+
 # A Newton step runs gauge-fixed when the smallest singular value of the
 # Jacobian on the sublattice means is at most this fraction of the smallest
 # circulant-symbol magnitude over the other modes.  Both scale alike with the
-# grid.  Transition-model starts never read below 3e-3; on the expanding
-# model every plain lgmres solve above 1e-4 converged, and most below it
-# ran to their budget.
+# grid.  Transition-model starts never read below 3.0e-3.  On 64 expanding-
+# model drift solves with the gate shut, plain lgmres converged in 89 of 90
+# solves above 1e-4 (the other read 1.01e-4), 19 of 28 in (1e-5, 1e-4], and
+# 3 of 137 below.
 _GAUGE_GATE = 1e-4
 
 # A gauge-fixed step hands over to the relaxation fallback when the
@@ -107,8 +118,6 @@ class SolveConfig:
     max_newton_iters: int = 50
     krylov_rtol: float = 1e-8
     krylov_maxiter: int = 500  # total inner-iteration budget
-    linesearch_factor: float = 0.5
-    min_step: float = 1e-8
     spacelike_cap: float = 0.99
     interval_margin: float = 1e-6
     check_certificate: bool = True
@@ -122,7 +131,7 @@ class SolveConfig:
             self.target = float(self.target)
         if not (0.0 < self.spacelike_cap < 1.0):
             raise ValueError("spacelike_cap must lie in (0, 1)")
-        for name in ("residual_tol", "krylov_rtol", "min_step", "interval_margin"):
+        for name in ("residual_tol", "krylov_rtol", "interval_margin"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -212,14 +221,9 @@ class _Driver:
         self.log = []
         self.step_count = 0
         self.drift_history = []  # (mean height, residual) per fallback sweep
-        self.residual_calls = 0
-        # jacobian_residuals, krylov_info and krylov_matvecs of the latest
-        # Newton direction, for its log entry
+        # krylov_info, krylov_matvecs and gauge of the latest Newton
+        # direction, for its log entry
         self.direction = {}
-
-    def residual(self, values):
-        self.residual_calls += 1
-        return residual_field(GraphField(self.model, values), self.config.target)
 
     def trial(self, values):
         """(kit, residual) at ``values``, or None when they leave the
@@ -305,101 +309,14 @@ def _periodic_neighbours(shape, radius, nodes=None):
     return np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
 
 
-def _greedy_colors(shape):
-    """Natural-order greedy coloring: each node takes the smallest color not
-    held within L1 distance 2 * reach.  Conflicts are listed a block of
-    nodes at a time, so large lattices stay small in memory."""
-    nodes = int(np.prod(shape))
-    colors = np.full(nodes, -1)
-    free = np.ones(len(_lattice_ball(len(shape), 2 * _RESIDUAL_REACH)) + 1, dtype=bool)
-    for start in range(0, nodes, 4096):
-        block = np.arange(start, min(start + 4096, nodes))
-        conflicts = _periodic_neighbours(shape, 2 * _RESIDUAL_REACH, block)
-        for node, near in zip(block, conflicts):
-            taken = colors[near]
-            taken = taken[taken >= 0]
-            free[taken] = False
-            colors[node] = int(np.argmax(free))
-            free[taken] = True
-    return colors
-
-
-def _axis_multiples(modulus, sizes):
-    """Per axis, the residues a mod ``modulus`` with a * m = 0 for the
-    axis size m: the coefficients a homomorphism of the periodic lattice
-    can carry on that axis."""
-    return [np.arange(0, modulus, modulus // np.gcd(modulus, m)) for m in sizes]
-
-
-def _kernel_homomorphism(shape, half_ball, p, q):
-    """First (a, b), in lexicographic order, for which x -> (a.x mod p,
-    b.x mod q) is a homomorphism of the periodic lattice sending no offset
-    of ``half_ball`` to zero; None when there is none."""
-    first, *rest = _axis_multiples(p, shape)
-    b_all = np.array(list(itertools.product(*_axis_multiples(q, shape))))
-    b_misses = (half_ball @ b_all.T) % q != 0               # (K, Nb)
-    for a_first in first:  # one first coefficient at a time bounds the memory
-        a_all = np.array([(a_first, *r) for r in itertools.product(*rest)])
-        a_hits = ((half_ball @ a_all.T) % p == 0).T         # (Na, K)
-        # (a, b) is valid when b misses every offset that a hits
-        missed = a_hits.astype(np.int32) @ (~b_misses).astype(np.int32)
-        valid = np.argwhere(missed == 0)
-        if len(valid):
-            i, j = valid[0]
-            return a_all[i], b_all[j]
-    return None
-
-
-def _lattice_colors(shape, limit):
-    """Fewest-color lattice coloring with fewer than ``limit`` colors.
-
-    Colors are c(x) = (a.x mod p, b.x mod q), q dividing p, a homomorphism
-    of the periodic lattice onto Z_p x Z_q.  Two nodes share a color exactly
-    when their offset lies in its kernel, so the coloring is valid when the
-    kernel misses the L1 ball of radius 2 * reach.  Color counts k = p q are
-    tried upward from the size of the radius-``reach`` ball (a clique of the
-    conflict graph); returns the colors, or None when no k below ``limit``
-    has such a homomorphism.
-    """
-    dim = len(shape)
-    ball = _lattice_ball(dim, 2 * _RESIDUAL_REACH)
-    # the ball is listed in lexicographic order, so it is symmetric about
-    # the origin at its middle; the kernel is a subgroup, so half will do
-    half_ball = ball[: len(ball) // 2]
-    for k in range(len(_lattice_ball(dim, _RESIDUAL_REACH)), limit):
-        for q in range(1, math.isqrt(k) + 1):
-            if k % (q * q):
-                continue
-            found = _kernel_homomorphism(shape, half_ball, k // q, q)
-            if found is not None:
-                a, b = found
-                index = np.indices(shape).reshape(dim, -1).T
-                labels = (index @ a) % (k // q) * q + (index @ b) % q
-                return np.unique(labels, return_inverse=True)[1]
-    return None
-
-
 @functools.lru_cache(maxsize=8)
 def _jacobian_pattern(shape):
-    """Sparsity and column coloring of the residual Jacobian on ``shape``.
-
-    Returns (rows, colors): rows[j] are the residual entries that read node
-    j (the stencil is symmetric), and colors[j] is its color.  Two nodes
-    share a color only when their periodic offset lies outside the L1 ball
-    of radius 2 * reach, so their row sets are disjoint.  The coloring is
-    the lattice coloring of ``_lattice_colors`` where it needs fewer colors
-    than the natural-order greedy one, which covers the other shapes
-    (prime-sized axes, for one).  On 64^2 that is 16 colors against 25, on
-    16^3 32 against 60; on 128 nodes both take 8 and greedy is kept.
-    """
-    colors = _greedy_colors(shape)
-    lattice = _lattice_colors(shape, int(colors.max()) + 1)
-    if lattice is not None:
-        colors = lattice
+    """Rows of the residual Jacobian on ``shape``: rows[j, k] is the flat
+    index of node j plus the k-th offset of ``_lattice_ball(dim,
+    _RESIDUAL_REACH)``, the entries of column j (the stencil is symmetric)."""
     rows = _periodic_neighbours(shape, _RESIDUAL_REACH)
     rows.flags.writeable = False
-    colors.flags.writeable = False
-    return rows, colors
+    return rows
 
 
 @functools.lru_cache(maxsize=8)
@@ -451,30 +368,87 @@ def _coarse_operator(values, shape):
     return coarse / (len(values) // len(sums))
 
 
-def _jacobian(driver, u):
-    """Sparse Jacobian of ``driver.residual`` at u by colored central differences.
+def _pointwise_residual(kit, target):
+    """The residual less its divergence term: the pointwise terms of n H
+    less n times the target."""
+    middle, twist_pairing = kit.curvature_terms()
+    return middle + twist_pairing - kit.n * _target_field(kit, target)
 
-    Each color costs one +eps/-eps pair of residual calls, with the step
-    scaled like a Jacobian-free matvec along the color's indicator.  Every
-    entry is divided by the step its column actually received, so the
-    rounding of u + eps does not enter the quotient.  Returns the matrix and
+
+def _linearization(model, u, du, target):
+    """Derivatives of the flux F and of P (``_pointwise_residual``) at (u, du).
+
+    Returns (dF, dP), with dF[a] and dP[a] the derivatives along a = 0, u
+    with du held fixed, and a = 1 + l, the covector component p_l; dF has
+    shape (n + 1,) + shape + (n,).  Each is one central difference of a
+    pair of pointwise kits, divided by the step the perturbed value actually
+    received, so the rounding of u + eps does not enter the quotient.  The
+    relative step 1e-6 gives J to about 1e-11 of its largest entry, the
+    least error over steps from 1e-4 to 1e-8.
+    """
+    n = model.fiber.dim
+    dF = np.empty((n + 1, *du.shape))
+    dP = np.empty((n + 1, *u.shape))
+    for a in range(n + 1):
+        kits, moved = [], []
+        for sign in (1.0, -1.0):
+            at, cov = u, du
+            if a == 0:
+                at = u + sign * 1e-6 * (1.0 + float(np.max(np.abs(u))))
+                moved.append(at)
+            else:
+                cov = du.copy()
+                cov[..., a - 1] += sign * 1e-6 * (1.0 + float(np.max(np.abs(du))))
+                moved.append(cov[..., a - 1])
+            kits.append(_Kit(model, at, cov, require_spacelike=False))
+        width = moved[0] - moved[1]
+        dF[a] = (kits[0].flux() - kits[1].flux()) / width[..., None]
+        dP[a] = (_pointwise_residual(kits[0], target)
+                 - _pointwise_residual(kits[1], target)) / width
+    return dF, dP
+
+
+def _jacobian(driver, u):
+    """Sparse Jacobian of the residual at u from its pointwise linearization.
+
+    With dF and dP from ``_linearization`` and D_l the centred difference,
+    J = S^-1 sum_i D_i S (dF_i,u + sum_l dF_i,p_l D_l) + dP_u + sum_l dP_p_l D_l,
+    S = sqrt det g_F, assembled stencil by stencil.  Returns the matrix and
     its stencil ``values``: values[j, k] is the entry of column j at the
     k-th offset of ``_lattice_ball(dim, _RESIDUAL_REACH)`` from node j.
     """
-    rows, colors = _jacobian_pattern(u.shape)
-    n_colors = int(colors.max()) + 1
-    base = 1e-7 * (1.0 + np.linalg.norm(u.ravel()))
-    columns = np.empty((n_colors, u.size))
-    width = np.empty(u.size)
-    for color in range(n_colors):
-        seed = (colors == color).reshape(u.shape)
-        eps = base / np.sqrt(np.count_nonzero(seed))
-        plus = u + eps * seed
-        minus = u - eps * seed
-        columns[color] = (driver.residual(plus) - driver.residual(minus)).ravel()
-        width[seed.ravel()] = (plus - minus)[seed]
-    # column j holds the entries of its rows in its color's difference
-    values = columns[colors[:, None], rows] / width[:, None]
+    grid = driver.model.fiber
+    n = grid.dim
+    dF, dP = _linearization(driver.model, u, grid.partials(u), driver.config.target)
+    dF = dF.reshape(n + 1, u.size, n)
+    dP = dP.reshape(n + 1, u.size)
+    rows = _jacobian_pattern(u.shape)
+    offsets = _lattice_ball(n, _RESIDUAL_REACH)
+    index = {o: k for k, o in enumerate(map(tuple, offsets))}
+    unit = np.eye(n, dtype=int)
+    half = 0.5 / grid.spacing  # D_l u = half[l] (u(x + e_l) - u(x - e_l))
+
+    def stencil(d):
+        """(offset, coefficient) pairs of d[0] du + sum_l d[1 + l] D_l du."""
+        yield np.zeros(n, dtype=int), d[0]
+        for l in range(n):
+            yield unit[l], half[l] * d[1 + l]
+            yield -unit[l], -half[l] * d[1 + l]
+
+    # rowwise[k, x]: the derivative of R at node x in u at node x + offsets[k]
+    rowwise = np.zeros((len(offsets), u.size))
+    for offset, coefficient in stencil(dP):
+        rowwise[index[tuple(offset)]] += coefficient
+    sqrt_det = grid.sqrt_det.ravel()
+    for i in range(n):
+        for sign in (1, -1):
+            out = sign * unit[i]
+            ahead = rows[:, index[tuple(out)]]  # node x + out
+            weight = sign * half[i] * sqrt_det[ahead] / sqrt_det
+            for offset, coefficient in stencil(dF[..., i]):
+                rowwise[index[tuple(out + offset)]] += weight * coefficient[ahead]
+    # column j holds R at node j + offsets[k], read at the opposite offset
+    values = rowwise[[index[tuple(-o)] for o in offsets], rows]
     indptr = np.arange(0, rows.size + 1, rows.shape[1])
     # J owns a copy of its data: canonicalising J in place (abs(J),
     # sort_indices) would otherwise permute the stencil values as well
@@ -533,21 +507,18 @@ def _krylov_step(driver, u, R):
     gauge-fixed step can remove; the step returns None and the relaxation
     fallback, the only thing that moves the mean, takes over.
 
-    The residual evaluations the Jacobian took (two per color), the lgmres
-    exit info (0 = converged), the number of J products it made and the
-    gauge ("none" or "sublattice") are kept on the driver for the iteration
-    log; a handover leaves its ``fallback_reason`` there instead.
+    An ungated direction keeps only the common mean of the sublattice
+    means, P d + mean(d): the others are grid-scale modes that the centred
+    difference cannot see, and Newton must not inject them into u.
+
+    The lgmres exit info (0 = converged), the number of J products it made
+    and the gauge ("none" or "sublattice") are kept on the driver for the
+    iteration log; a handover leaves its ``fallback_reason`` there instead.
     """
     config = driver.config
     driver.direction = {}
     rnorm = float(np.max(np.abs(R)))
-    calls = driver.residual_calls
-    try:
-        J, values = _jacobian(driver, u)
-    except _STEP_ERRORS:
-        return None
-    jacobian_residuals = driver.residual_calls - calls
-
+    J, values = _jacobian(driver, u)
     symbol = _circulant_symbol(values, u.shape)
     labels, _, modes = _sublattices(u.shape)
     coarse = _coarse_operator(values, u.shape)
@@ -601,15 +572,13 @@ def _krylov_step(driver, u, R):
     except _STEP_ERRORS:
         return None
     driver.direction = {
-        "jacobian_residuals": jacobian_residuals,
         "krylov_info": int(info),
         "krylov_matvecs": products,
         "gauge": "sublattice" if gauge_fixed else "none",
     }
     if not np.all(np.isfinite(d)):
         return None
-    if gauge_fixed:
-        d = project(d)
+    d = project(d) if gauge_fixed else project(d) + d.mean()
     # trust region: never propose more than a quarter of the interval
     peak = float(np.max(np.abs(d)))
     cap = 0.25 * driver.span
@@ -625,16 +594,15 @@ def _line_search(driver, u, R, rnorm, direction):
     direction with a large admissible part is not wasted when some nodes
     would overshoot the margin.
     """
-    config = driver.config
     lam = 1.0
-    while lam >= config.min_step:
+    while lam >= _MIN_STEP:
         trial = driver.trial(np.clip(u + lam * direction, driver.lo, driver.hi))
         if trial is not None:
             kit, R_new = trial
             rnorm_new = float(np.max(np.abs(R_new)))
             if rnorm_new <= (1.0 - 1e-4 * lam) * rnorm:
                 return kit, R_new, rnorm_new, lam
-        lam *= config.linesearch_factor
+        lam *= _LINESEARCH_FACTOR
     return None
 
 
@@ -700,10 +668,33 @@ def _fallback_sweeps(driver, kit, R, rnorm, state, reason):
     return kit, R, rnorm, None
 
 
+def _sublattice_spread(u):
+    """Largest class mean of u - mean(u) over the parity sublattices: the
+    grid-scale content of u that the centred difference cannot see."""
+    labels, _, _ = _sublattices(u.shape)
+    classes = int(labels.max()) + 1
+    sums = np.bincount(labels, weights=(u - u.mean()).ravel(), minlength=classes)
+    return float(np.max(np.abs(sums / (u.size // classes))))
+
+
+def _edge_margin(kit):
+    """Spacelike margin |D+ u|_F / f with forward differences, which see
+    the neighbouring nodes that the centred difference of ``kit.mu`` skips."""
+    grid = kit.grid
+    slope_sq = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        forward = (np.roll(kit.u, -1, axis=i) - kit.u) / grid.spacing[i]
+        slope_sq += forward ** 2 / grid.metric_diag[..., i]
+    return float(np.max(np.sqrt(slope_sq) / kit.f))
+
+
 def _verify_converged(driver, kit, rnorm):
     """Re-check a converged iterate: ``rnorm`` is its residual through the
     fiber-form curvature of ``kit``; the coordinate-form second path builds
-    its own kits from the graph.  Both must pass, with the safeguards."""
+    its own kits from the graph.  Both must pass, with the safeguards, and
+    u must carry no grid-scale mode: its sublattice spread must be at
+    round-off and its edge margin below 1.  Returns (failure or None,
+    graph, diagnostics)."""
     config = driver.config
     u = kit.u
     graph = GraphField(driver.model, u)
@@ -712,11 +703,17 @@ def _verify_converged(driver, kit, rnorm):
         np.max(np.abs(kit.n * (mean_curvature_from_laplacian(graph) - target)))
     )
     margin = float(kit.mu.max())
-    ok = (
-        rnorm <= 2.0 * config.residual_tol
-        and r_secondary <= 2.0 * config.residual_tol
-        and margin <= config.spacelike_cap
+    spread = _sublattice_spread(u)
+    edge_margin = _edge_margin(kit)
+    # the first check that fails names the failure; NaN fails every check
+    checks = (
+        (rnorm <= 2.0 * config.residual_tol and r_secondary <= 2.0 * config.residual_tol
+         and margin <= config.spacelike_cap, "two-path re-verification failed"),
+        (spread <= _SUBLATTICE_BOUND * (1.0 + float(np.max(np.abs(u)))),
+         "grid-scale sublattice mode"),
+        (edge_margin < 1.0, "edge spacelike margin at or above 1"),
     )
+    failure = next((name for ok, name in checks if not ok), None)
     imin = np.unravel_index(int(np.argmin(u)), u.shape)
     imax = np.unravel_index(int(np.argmax(u)), u.shape)
     dlog = kit.dlogf
@@ -724,6 +721,8 @@ def _verify_converged(driver, kit, rnorm):
         "residual_primary": rnorm,
         "residual_secondary": r_secondary,
         "max_margin": margin,
+        "sublattice_spread": spread,
+        "edge_margin": edge_margin,
         "extremum_gap_min": (
             float(config.target - dlog[imin]) if config.target != "generalized" else None
         ),
@@ -731,7 +730,7 @@ def _verify_converged(driver, kit, rnorm):
             float(dlog[imax] - config.target) if config.target != "generalized" else None
         ),
     }
-    return ok, graph, diagnostics
+    return failure, graph, diagnostics
 
 
 def solve(model, config):
@@ -763,9 +762,9 @@ def solve(model, config):
 
     while True:
         if rnorm <= config.residual_tol:
-            ok, graph, diagnostics = _verify_converged(driver, kit, rnorm)
+            failure, graph, diagnostics = _verify_converged(driver, kit, rnorm)
             diagnostics["target"] = config.target
-            if ok:
+            if failure is None:
                 return SolveOutcome(
                     tag="converged",
                     graph=graph,
@@ -775,7 +774,7 @@ def solve(model, config):
                     diagnostics=diagnostics,
                     log=driver.log,
                 )
-            diagnostics["failure"] = "two-path re-verification failed"
+            diagnostics["failure"] = failure
             return SolveOutcome(
                 tag="not_converged",
                 residual_norm=rnorm,
