@@ -134,6 +134,8 @@ class SolveConfig:
         for name in ("residual_tol", "krylov_rtol", "interval_margin"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.certificate_samples < 16:
+            raise ValueError("certificate_samples must be at least 16")
 
 
 @dataclass
@@ -184,10 +186,12 @@ def certificate_check(model, h0, t_samples=256):
     grid = model.fiber
     lo = np.inf
     hi = -np.inf
-    for t in model.time_samples(t_samples):
-        vals = model.twist.dlog_dt(t, grid)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
+    for block in model.time_blocks(t_samples):
+        vals = model.twist.dlog_dt(block, grid)
+        # fmin/fmax skip NaNs (from an overflowed twist); a plain min would
+        # return NaN and drop every time of the block from the bounds
+        lo = min(lo, float(np.fmin.reduce(vals, axis=None)))
+        hi = max(hi, float(np.fmax.reduce(vals, axis=None)))
     if h0 < lo or h0 > hi:
         return {
             "reason": "bound",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .fiber_grid import component_sum
 
 __all__ = [
     "TwistedFunction",
@@ -38,6 +39,10 @@ _REQUIRED = {
 }
 
 SIGN_TOL = 1e-12  # |d/dt f| below this counts as zero in classifications
+
+# times x nodes per block of a sampled time sweep: each float64 temporary of
+# one twist evaluation stays at 512 KB
+_SWEEP_ELEMENTS = 2**16
 
 
 class TwistedFunction:
@@ -156,7 +161,7 @@ class TwistedFunction:
     def fiber_grad_norm(self, t, grid):
         """Pointwise |grad_F f| with respect to the fiber metric."""
         partials = self.fiber_partials(t, grid)
-        return np.sqrt(np.sum(partials * partials / grid.metric_diag, axis=-1))
+        return np.sqrt(component_sum(partials * partials / grid.metric_diag))
 
 
 @dataclass
@@ -181,9 +186,11 @@ class SpacetimeModel:
         self._check_positive()
 
     def _check_positive(self, t_samples=64):
-        for t in self.time_samples(t_samples):
-            values = self.twist.value(t, self.fiber)
-            if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+        for block in self.time_blocks(t_samples):
+            values = self.twist.value(block, self.fiber).reshape(len(block), -1)
+            bad = np.any(~np.isfinite(values) | (values <= 0.0), axis=1)
+            if bad.any():
+                t = block.ravel()[np.argmax(bad)]
                 raise ValueError(f"twist function is not positive near t={t:.6g}")
         if self.twist.family == "separable":
             s_max = float(np.max(np.abs(self.fiber.sample(self.twist.s))))
@@ -192,9 +199,23 @@ class SpacetimeModel:
 
     def time_samples(self, count):
         """Midpoint lattice over the open interval (endpoints excluded)."""
+        if count < 1:
+            raise ValueError(f"time sample count must be at least 1, got {count}")
         t_min, t_max = self.interval
         step = (t_max - t_min) / count
         return t_min + (np.arange(count) + 0.5) * step
+
+    def time_blocks(self, count):
+        """The ``time_samples(count)`` lattice, in order, as consecutive blocks
+        shaped ``(k,) + (1,) * dim`` that broadcast against the fiber.
+
+        A block holds at most ``_SWEEP_ELEMENTS // nodes`` times and at least
+        one, so one twist evaluation sweeps a block of times at once.
+        """
+        times = self.time_samples(count)
+        k = max(1, _SWEEP_ELEMENTS // self.fiber.n_nodes)
+        shape = (-1,) + (1,) * self.fiber.dim
+        return [times[i:i + k].reshape(shape) for i in range(0, count, k)]
 
     def require_inside(self, t, what="time value"):
         t = np.asarray(t, dtype=float)
@@ -236,7 +257,9 @@ def classify(model, t_samples=64):
         raise ValueError("t_samples must be at least 16")
     grid = model.fiber
     times = model.time_samples(t_samples)
-    dft = np.stack([model.twist.dt(t, grid) for t in times])
+    dft = np.concatenate(
+        [model.twist.dt(block, grid) for block in model.time_blocks(t_samples)]
+    )
 
     min_dt = float(dft.min())
     max_dt = float(dft.max())
@@ -289,9 +312,10 @@ def is_grw(model, t_samples=33):
     """
     grid = model.fiber
     worst = 0.0
-    for t in model.time_samples(t_samples):
-        ratio = model.twist.fiber_grad_norm(t, grid) / model.twist.value(t, grid)
-        worst = max(worst, float(ratio.max()))
+    for block in model.time_blocks(t_samples):
+        ratio = model.twist.fiber_grad_norm(block, grid) / model.twist.value(block, grid)
+        # fmax skips NaNs, as in certificate_check
+        worst = max(worst, float(np.fmax.reduce(ratio, axis=None)))
     return worst <= 1e-12
 
 

@@ -55,6 +55,19 @@ def flat_grw_model(dim=1, m=128, interval=(-1.0, 1.0)):
     return SpacetimeModel(interval, grid, twist)
 
 
+def count_calls(monkeypatch, cls, name):
+    """A list that gains one entry per call of method ``cls.name`` from here on."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 # Reference stencils: the np.roll / np.stack / np.sum forms that FiberGrid's
 # sliced kernels replace.  The kernels must reproduce them bit for bit.
 

@@ -24,7 +24,7 @@ from twistbench import (
     solve,
 )
 
-from conftest import flat_grw_model
+from conftest import count_calls, flat_grw_model
 
 
 def transition_model(resolution=128):
@@ -134,6 +134,30 @@ class TestCertificates:
         assert cert is not None
         assert cert["sup_dlog_f"] < 4.0
         assert certificate_check(model, 3.0) is None
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_counts_below_one_are_rejected(self, count):
+        # default_model(2) has a maximal slice: no bound may exclude target 0
+        model = default_model(2)
+        with pytest.raises(ValueError, match="time sample count must be at least 1"):
+            certificate_check(model, 0.0, t_samples=count)
+
+    @pytest.mark.parametrize("count", [15, 0, -1])
+    def test_solve_rejects_fewer_than_16_certificate_samples(self, count):
+        model = default_model(2)
+        with pytest.raises(ValueError, match="certificate_samples must be at least 16"):
+            solve(model, SolveConfig(target=0.0, initial={"kind": "constant", "value": 0.1},
+                                     certificate_samples=count))
+
+    @pytest.mark.parametrize("dim, resolution, ceiling", [(1, 128, 1), (2, 64, 16)])
+    def test_one_twist_call_per_block_of_times(self, monkeypatch, dim, resolution, ceiling):
+        # the refuse-1d model, and the 64^2 fiber: 256 samples in blocks of
+        # 512 and 16 times
+        model = default_model(dim, resolution=resolution, twist="separable_exp",
+                              interval=(-1.0, 1.0))
+        calls = count_calls(monkeypatch, TwistedFunction, "dlog_dt")
+        assert certificate_check(model, -5.0, t_samples=256)["reason"] == "bound"
+        assert len(calls) <= ceiling
 
 
 class TestSolve:

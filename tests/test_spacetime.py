@@ -14,9 +14,11 @@ from twistbench import (
     slice_umbilicity,
     torqued_one_form,
 )
+from twistbench.solver import certificate_check
+from twistbench.spacetime import _SWEEP_ELEMENTS, SIGN_TOL
 from twistbench.verify import _spectral_diff
 
-from conftest import assert_bitwise, ripple, unit_torus
+from conftest import assert_bitwise, count_calls, ripple, unit_torus
 
 
 STANDARD_TWISTS = (
@@ -94,6 +96,169 @@ class TestIsGrw:
 
     def test_traveling_is_twisted(self):
         assert not is_grw(default_model(1, twist="traveling"))
+
+
+# Per-time reference loops: one twist call per sampled time.  The blocked
+# sweeps of the sampled model checks must reproduce them bit for bit.
+
+
+def per_time_certificate_bounds(model, t_samples):
+    lo, hi = np.inf, -np.inf
+    for t in model.time_samples(t_samples):
+        vals = model.twist.dlog_dt(t, model.fiber)
+        lo = min(lo, float(vals.min()))
+        hi = max(hi, float(vals.max()))
+    return lo, hi
+
+
+def per_time_is_grw(model, t_samples):
+    worst = 0.0
+    for t in model.time_samples(t_samples):
+        ratio = model.twist.fiber_grad_norm(t, model.fiber) / model.twist.value(t, model.fiber)
+        worst = max(worst, float(ratio.max()))
+    return worst <= 1e-12
+
+
+def per_time_classify(model, t_samples):
+    """(tag, t0, evidence) of ``classify`` with a per-time sampling stage."""
+    grid = model.fiber
+    times = model.time_samples(t_samples)
+    dft = np.stack([model.twist.dt(t, grid) for t in times])
+    pos = dft > SIGN_TOL
+    neg = dft < -SIGN_TOL
+    evidence = {
+        "t_samples": int(t_samples),
+        "min_dt": float(dft.min()),
+        "max_dt": float(dft.max()),
+        "frac_positive": float(pos.mean()),
+        "frac_negative": float(neg.mean()),
+    }
+    if evidence["min_dt"] > SIGN_TOL:
+        return "expanding", None, evidence
+    if evidence["max_dt"] < -SIGN_TOL:
+        return "contracting", None, evidence
+    if np.all(pos.any(axis=0)) and np.all(neg.any(axis=0)):
+        last_pos = (t_samples - 1) - np.argmax(pos[::-1], axis=0)
+        first_neg = np.argmax(neg, axis=0)
+        if np.all(last_pos < first_neg):
+            lo = times[last_pos].astype(float)
+            hi = times[first_neg].astype(float)
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                take_lo = model.twist.dt(mid, grid) > 0.0
+                lo = np.where(take_lo, mid, lo)
+                hi = np.where(take_lo, hi, mid)
+                if float(np.max(hi - lo)) < 1e-10:
+                    break
+            roots = 0.5 * (lo + hi)
+            evidence["root_spread"] = float(roots.max() - roots.min())
+            if evidence["root_spread"] <= 1e-8:
+                return "transition", float(roots.mean()), evidence
+    return "mixed", None, evidence
+
+
+def sweep_models():
+    """Every standard twist in dims 1-3, a curved fiber, a fiber with more
+    nodes than one sweep block holds, so that each block is one time, and a
+    twist that overflows near t_max on lattices finer than 64 times, so that
+    d/dt log f and |grad f| / f hold NaN at the last times of a block."""
+    models = {
+        f"{name}-{dim}d": default_model(dim, twist=name)
+        for dim in (1, 2, 3)
+        for name in STANDARD_TWISTS
+        if name != "traveling" or dim == 1
+    }
+    models["additive-2d-curved"] = default_model(2, twist="additive", curved=True)
+    models["separable_gauss-wide"] = default_model(
+        1, resolution=_SWEEP_ELEMENTS + 8, twist="separable_gauss"
+    )
+    models["separable_exp-overflow"] = default_model(
+        1, twist="separable_exp", interval=(-1.0, 712.0)
+    )
+    return models
+
+
+SWEEP_MODELS = sweep_models()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+class TestBlockedTimeSweeps:
+    @pytest.mark.parametrize(
+        "name, count",
+        [("additive-1d", 256), ("additive-1d", 600), ("additive-2d", 37),
+         ("additive-3d", 16), ("separable_gauss-wide", 5)],
+    )
+    def test_blocks_tile_the_time_lattice(self, name, count):
+        model = SWEEP_MODELS[name]
+        k = max(1, _SWEEP_ELEMENTS // model.fiber.n_nodes)
+        blocks = model.time_blocks(count)
+        assert [b.shape for b in blocks] == [
+            (min(k, count - start),) + (1,) * model.fiber.dim for start in range(0, count, k)
+        ]
+        assert_bitwise(np.concatenate([b.ravel() for b in blocks]), model.time_samples(count))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_counts_below_one_are_rejected(self, count):
+        model = default_model(2)
+        for sweep in (model.time_samples, model.time_blocks):
+            with pytest.raises(ValueError, match="time sample count must be at least 1"):
+                sweep(count)
+        with pytest.raises(ValueError, match="time sample count must be at least 1"):
+            is_grw(model, t_samples=count)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
+    def test_certificate_bounds_match_per_time_loop(self, name):
+        model = SWEEP_MODELS[name]
+        # 37 and 600 are not multiples of the 16- and 512-time blocks
+        for count in (37, 256, 600):
+            cert = certificate_check(model, np.inf, t_samples=count)
+            lo, hi = per_time_certificate_bounds(model, count)
+            assert (cert["inf_dlog_f"].hex(), cert["sup_dlog_f"].hex()) == (lo.hex(), hi.hex())
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
+    def test_classify_matches_per_time_loop(self, name):
+        model = SWEEP_MODELS[name]
+        for count in (37, 64):
+            result = classify(model, t_samples=count)
+            assert (result.tag, result.t0, result.evidence) == per_time_classify(model, count)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
+    def test_is_grw_matches_per_time_loop(self, name):
+        model = SWEEP_MODELS[name]
+        for count in (33, 256, 600):
+            assert is_grw(model, t_samples=count) == per_time_is_grw(model, count)
+        # the ratio is_grw thresholds, block by block, against per-time
+        # numpy sums over the partials
+        grid = model.fiber
+        block = model.time_blocks(37)[0]
+        per_time = [
+            np.sqrt(np.sum(model.twist.fiber_partials(t, grid) ** 2 / grid.metric_diag, axis=-1))
+            / model.twist.value(t, grid)
+            for t in block.ravel()
+        ]
+        blocked = model.twist.fiber_grad_norm(block, grid) / model.twist.value(block, grid)
+        assert_bitwise(blocked, np.stack(per_time))
+
+    @pytest.mark.parametrize("dim, resolution, blocks", [(1, 128, (1, 1)), (2, 64, (4, 3))])
+    def test_one_twist_call_per_block(self, monkeypatch, dim, resolution, blocks):
+        # (positivity check and classify, is_grw) blocks: 64 and 33 samples
+        # in blocks of 512 times on 128 nodes and of 16 times on 64^2
+        values = count_calls(monkeypatch, TwistedFunction, "value")
+        norms = count_calls(monkeypatch, TwistedFunction, "fiber_grad_norm")
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        model = default_model(dim, resolution=resolution, twist="separable_exp")
+        assert (len(values), len(norms)) == (blocks[0], 0)
+        # an expanding model needs no bisection: every dt call samples
+        assert classify(model).tag == "expanding"
+        assert len(rates) == blocks[0]
+        assert not is_grw(model)
+        assert len(values) - blocks[0] == len(norms) == blocks[1]
+
+    def test_positivity_error_names_the_first_failing_time(self):
+        # g = 0.5 - t; all 64 samples share one block on 128 nodes
+        twist = TwistedFunction("pure_time", g=TimeProfile("linear", {"a": 0.5, "b": -1.0}))
+        with pytest.raises(ValueError, match=r"^twist function is not positive near t=0\.515625$"):
+            SpacetimeModel((-1.0, 1.0), unit_torus(1, 128), twist)
 
 
 class TestExactDerivatives:
