@@ -93,8 +93,9 @@ def _outcome_payload(outcome, cfg):
 
 
 def _run_solve(model, cfg, out_dir):
-    from dataclasses import asdict, fields
+    from dataclasses import asdict
 
+    from .config import SolveConfig
     from .initializers import resolve_initializer
     from .serialize import (
         write_field_binary,
@@ -102,14 +103,12 @@ def _run_solve(model, cfg, out_dir):
         write_json,
         write_jsonl,
     )
-    from .solver import SolveConfig, rigidity_report, solve
+    from .solver import rigidity_report, solve
 
     block = cfg["solve"]
     graph0 = resolve_initializer(model, _initializer_spec(block, cfg["seed"]))
-    options = {f.name for f in fields(SolveConfig)} - {"initial"}
-    solve_cfg = SolveConfig(
-        initial=graph0, **{key: value for key, value in block.items() if key in options}
-    )
+    options = {key: value for key, value in block.items() if key != "initializer"}
+    solve_cfg = SolveConfig(initial=graph0, **options)
     outcome = solve(model, solve_cfg)
 
     formats = cfg["output"]["formats"]

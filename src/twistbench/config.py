@@ -1,30 +1,91 @@
-"""Experiment configuration: JSON schema, validation, object builders.
+"""Experiment configuration: solver options, JSON schema, validation, builders.
 
 Configs are strict UTF-8 JSON documents: unknown keys are rejected at every
 level so archived experiment files stay unambiguous.  ``resolve`` fills in
-all defaults and returns the exact dictionary that reports embed, which can
-be fed back to reproduce the run.
+the seed, the output formats, the flat fiber metric, every ``SolveConfig``
+option of a solve block and the verify and convergence defaults, and returns
+the exact dictionary that reports embed, which can be fed back to reproduce
+the run; initializer defaults stay with ``initializers``.  The schema reads
+the solve options, twist families and time-profile kinds from their single
+declarations: ``SolveConfig``, ``TWIST_FAMILIES`` and ``TIME_KINDS``.
 """
 
 import copy
 import functools
 import json
+from dataclasses import dataclass, field, fields
 
 import jsonschema
 
 from .errors import ConfigError
 from .fiber_grid import FiberGrid
-from .profiles import TimeProfile, TrigPolynomial
-from .spacetime import SpacetimeModel, TwistedFunction
+from .profiles import TIME_KINDS, TimeProfile, TrigPolynomial
+from .spacetime import TWIST_FAMILIES, SpacetimeModel, TwistedFunction
 
-__all__ = ["SCHEMA", "load_config", "resolve", "build_model"]
+__all__ = ["SCHEMA", "SolveConfig", "load_config", "resolve", "build_model"]
+
+
+def _option(default, **schema):
+    """A solve option: its default, and its JSON-schema entry as metadata."""
+    return field(default=default, metadata={"schema": schema})
+
+
+def _check_bounds(name, value, schema):
+    """Raise ValueError where ``value`` breaks a bound of its schema entry."""
+    lo, hi = schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum")
+    if hi is not None and not lo < value < hi:
+        raise ValueError(f"{name} must lie in ({lo}, {hi})")
+    if lo is not None and not value > lo:
+        raise ValueError(f"{name} must be positive")  # every exclusiveMinimum is 0
+    if "minimum" in schema and not value >= schema["minimum"]:
+        raise ValueError(f"{name} must be at least {schema['minimum']}")
+
+
+@dataclass
+class SolveConfig:
+    """Solver parameters; every safeguard is tunable but defaults are sane.
+
+    Every option but ``initial`` is a key of a config's solve block too.
+
+    target:
+        a float H0 for constant mean curvature, or the string
+        "generalized" for the residual H - g(N, grad log f).
+    initial:
+        a GraphField, or an initializer spec such as
+        {"kind": "constant", "value": 0.3} or
+        {"kind": "random_trig", "seed": 7, "amplitude": 0.1}.
+    """
+
+    target: object = _option(0.0, oneOf=[{"type": "number"}, {"const": "generalized"}])
+    initial: object = None
+    residual_tol: float = _option(1e-10, type="number", exclusiveMinimum=0)
+    max_newton_iters: int = _option(50, type="integer", minimum=1)
+    krylov_rtol: float = _option(1e-8, type="number", exclusiveMinimum=0)
+    krylov_maxiter: int = _option(500, type="integer", minimum=1)  # total inner-iteration budget
+    spacelike_cap: float = _option(0.99, type="number", exclusiveMinimum=0, exclusiveMaximum=1)
+    interval_margin: float = _option(1e-6, type="number", exclusiveMinimum=0)
+    check_certificate: bool = _option(True, type="boolean")
+    certificate_samples: int = _option(256, type="integer", minimum=16)
+    fallback_chunk: int = _option(60, type="integer", minimum=1)
+    fallback_max_sweeps: int = _option(600, type="integer", minimum=1)
+    drift_window: int = _option(20, type="integer", minimum=2)
+
+    def __post_init__(self):
+        if self.target != "generalized":
+            self.target = float(self.target)
+        for option in _SOLVE_OPTIONS:
+            _check_bounds(option.name, getattr(self, option.name), option.metadata["schema"])
+
+
+# the options a solve block may set: every SolveConfig field but ``initial``
+_SOLVE_OPTIONS = [option for option in fields(SolveConfig) if option.metadata]
 
 _TIME_PROFILE = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["constant", "linear", "exp", "cosh", "sech", "gauss"]},
+        "kind": {"enum": list(TIME_KINDS)},
         "params": {
             "type": "object",
             "additionalProperties": False,
@@ -60,47 +121,28 @@ _TRIG_POLY = {
     "properties": {"modes": _TRIG_MODES},
 }
 
+# the schema entry of each twist constructor argument
+_TWIST_ARGUMENT = {
+    "g": _TIME_PROFILE,
+    "q": _TIME_PROFILE,
+    "s": _TRIG_POLY,
+    "eps": {"type": "number"},
+    "amp": {"type": "number"},
+    "period": {"type": "number", "exclusiveMinimum": 0},
+}
+
 _TWIST = {
     "oneOf": [
         {
             "type": "object",
             "additionalProperties": False,
-            "required": ["family", "g"],
-            "properties": {"family": {"const": "pure_time"}, "g": _TIME_PROFILE},
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "g", "eps", "s"],
+            "required": ["family", *arguments],
             "properties": {
-                "family": {"const": "separable"},
-                "g": _TIME_PROFILE,
-                "eps": {"type": "number"},
-                "s": _TRIG_POLY,
+                "family": {"const": family},
+                **{name: _TWIST_ARGUMENT[name] for name in arguments},
             },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "g", "eps", "s", "q"],
-            "properties": {
-                "family": {"const": "additive"},
-                "g": _TIME_PROFILE,
-                "eps": {"type": "number"},
-                "s": _TRIG_POLY,
-                "q": _TIME_PROFILE,
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "amp", "period"],
-            "properties": {
-                "family": {"const": "traveling"},
-                "amp": {"type": "number"},
-                "period": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
+        }
+        for family, arguments in TWIST_FAMILIES.items()
     ]
 }
 
@@ -213,21 +255,8 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["initializer"],
             "properties": {
-                "target": {
-                    "oneOf": [{"type": "number"}, {"const": "generalized"}]
-                },
                 "initializer": _INITIALIZER,
-                "residual_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_newton_iters": {"type": "integer", "minimum": 1},
-                "krylov_rtol": {"type": "number", "exclusiveMinimum": 0},
-                "krylov_maxiter": {"type": "integer", "minimum": 1},
-                "spacelike_cap": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "interval_margin": {"type": "number", "exclusiveMinimum": 0},
-                "check_certificate": {"type": "boolean"},
-                "certificate_samples": {"type": "integer", "minimum": 16},
-                "fallback_chunk": {"type": "integer", "minimum": 1},
-                "fallback_max_sweeps": {"type": "integer", "minimum": 1},
-                "drift_window": {"type": "integer", "minimum": 2},
+                **{option.name: option.metadata["schema"] for option in _SOLVE_OPTIONS},
             },
         },
         "verify": {
@@ -274,6 +303,7 @@ SCHEMA = {
 }
 
 _TASK_DEFAULTS = {
+    "solve": {option.name: option.default for option in _SOLVE_OPTIONS},
     "verify": {"corpus_count": 5, "amplitude": 0.05},
     "convergence": {
         "corpus_count": 3,
@@ -331,8 +361,6 @@ def resolve(raw, seed=None, out_dir=None):
         block = cfg.setdefault(task, {})
         for key, value in _TASK_DEFAULTS[task].items():
             block.setdefault(key, value)
-    if task == "solve":
-        cfg["solve"].setdefault("target", 0.0)
     return validate(cfg)
 
 

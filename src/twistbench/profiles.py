@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeProfile", "TrigPolynomial"]
+__all__ = ["TIME_KINDS", "TimeProfile", "TrigPolynomial"]
 
-_TIME_KINDS = ("constant", "linear", "exp", "cosh", "sech", "gauss")
+TIME_KINDS = ("constant", "linear", "exp", "cosh", "sech", "gauss")
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class TimeProfile:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _TIME_KINDS:
+        if self.kind not in TIME_KINDS:
             raise ValueError(f"unknown time profile {self.kind!r}")
 
     def value(self, t):

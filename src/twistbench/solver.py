@@ -43,6 +43,7 @@ from scipy.linalg import svdvals
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import LinearOperator, lgmres
 
+from .config import SolveConfig
 from .errors import DomainError, SpacelikeError
 from .fiber_grid import component_sum
 from .graphs import (
@@ -97,45 +98,6 @@ _GAUGE_GATE = 1e-4
 # the rest is gauge motion, which only the fallback can remove, and no
 # gauge-fixed step can lower the residual by more than this fraction.
 _GAUGE_HANDOVER = 1e-3
-
-
-@dataclass
-class SolveConfig:
-    """Solver parameters; every safeguard is tunable but defaults are sane.
-
-    target:
-        a float H0 for constant mean curvature, or the string
-        "generalized" for the residual H - g(N, grad log f).
-    initial:
-        a GraphField, or an initializer spec such as
-        {"kind": "constant", "value": 0.3} or
-        {"kind": "random_trig", "seed": 7, "amplitude": 0.1}.
-    """
-
-    target: object = 0.0
-    initial: object = None
-    residual_tol: float = 1e-10
-    max_newton_iters: int = 50
-    krylov_rtol: float = 1e-8
-    krylov_maxiter: int = 500  # total inner-iteration budget
-    spacelike_cap: float = 0.99
-    interval_margin: float = 1e-6
-    check_certificate: bool = True
-    certificate_samples: int = 256
-    fallback_chunk: int = 60
-    fallback_max_sweeps: int = 600
-    drift_window: int = 20
-
-    def __post_init__(self):
-        if self.target != "generalized":
-            self.target = float(self.target)
-        if not (0.0 < self.spacelike_cap < 1.0):
-            raise ValueError("spacelike_cap must lie in (0, 1)")
-        for name in ("residual_tol", "krylov_rtol", "interval_margin"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.certificate_samples < 16:
-            raise ValueError("certificate_samples must be at least 16")
 
 
 @dataclass

@@ -16,6 +16,7 @@ from .errors import DomainError
 from .fiber_grid import component_sum
 
 __all__ = [
+    "TWIST_FAMILIES",
     "TwistedFunction",
     "SpacetimeModel",
     "ExpansionClass",
@@ -26,16 +27,18 @@ __all__ = [
     "slice_umbilicity",
 ]
 
-# required constructor arguments of each family, with what each one is
-_REQUIRED = {
-    "pure_time": (("g", "a time profile g"),),
-    "separable": (("g", "a time profile g"), ("s", "a fiber profile s")),
-    "additive": (
-        ("g", "a time profile g"),
-        ("s", "a fiber profile s"),
-        ("q", "a time profile q"),
-    ),
-    "traveling": (),
+# family -> its constructor arguments, each with what the constructor names
+# when it is missing, or None where the argument has a default
+TWIST_FAMILIES = {
+    "pure_time": {"g": "a time profile g"},
+    "separable": {"g": "a time profile g", "eps": None, "s": "a fiber profile s"},
+    "additive": {
+        "g": "a time profile g",
+        "eps": None,
+        "s": "a fiber profile s",
+        "q": "a time profile q",
+    },
+    "traveling": {"amp": None, "period": None},
 }
 
 SIGN_TOL = 1e-12  # |d/dt f| below this counts as zero in classifications
@@ -62,7 +65,7 @@ class TwistedFunction:
     """
 
     def __init__(self, family, g=None, eps=0.0, s=None, q=None, amp=0.0, period=1.0):
-        if family not in _REQUIRED:
+        if family not in TWIST_FAMILIES:
             raise ValueError(f"unknown twist family {family!r}")
         self.family = family
         self.g = g
@@ -71,11 +74,13 @@ class TwistedFunction:
         self.eps = float(eps)
         self.amp = float(amp)
         self.period = float(period)
-        for name, what in _REQUIRED[family]:
-            if getattr(self, name) is None:
+        for name, what in TWIST_FAMILIES[family].items():
+            if what is not None and getattr(self, name) is None:
                 raise ValueError(f"family {family!r} needs {what}")
         if family == "traveling" and not abs(amp) < 1.0:
             raise ValueError("traveling twist needs |amp| < 1")
+        if family == "traveling" and not self.period > 0.0:
+            raise ValueError("traveling twist needs period > 0")
 
     def _traveling_phase(self, t, grid):
         if grid.dim != 1:

@@ -190,6 +190,25 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(write_config(tmp_path, cfg))])
         assert code == 4
 
+    def test_solve_reruns_from_its_embedded_config(self, tmp_path):
+        from twistbench.config import SCHEMA
+
+        out1 = tmp_path / "out1"
+        cfg = base_config("solve", out1)
+        cfg["solve"] = {"initializer": {"kind": "random_trig", "amplitude": 0.1, "center": 0.3}}
+        assert main(["solve", "--config", str(write_config(tmp_path, cfg))]) == 0
+        embedded = json.loads((out1 / "outcome.json").read_text())["config"]
+        assert set(embedded["solve"]) == set(SCHEMA["properties"]["solve"]["properties"])
+        out2 = tmp_path / "out2"
+        path = write_config(tmp_path, embedded, name="embedded.json")
+        assert main(["solve", "--config", str(path), "--out", str(out2)]) == 0
+        first = (out1 / "outcome.json").read_text()
+        assert first.count(json.dumps(str(out1))) == 1
+        assert (out2 / "outcome.json").read_text() == first.replace(
+            json.dumps(str(out1)), json.dumps(str(out2))
+        )
+        assert (out2 / "iterations.jsonl").read_bytes() == (out1 / "iterations.jsonl").read_bytes()
+
     def test_schema_options_are_solve_config_fields(self):
         from dataclasses import fields
 
@@ -335,6 +354,20 @@ def _scrubbed_python(code, **env):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+class TestImportGraph:
+    def test_config_does_not_load_scipy(self):
+        # the verify and convergence commands load config but never the solver
+        result = _scrubbed_python(
+            "import json, sys\n"
+            "import twistbench.config\n"
+            "scipy = 'scipy' in sys.modules\n"
+            "import twistbench.solver\n"
+            "print(json.dumps({'scipy': scipy, 'same': twistbench.solver.SolveConfig\n"
+            "                  is twistbench.config.SolveConfig}))\n"
+        )
+        assert result == {"scipy": False, "same": True}
 
 
 class TestThreadCap:

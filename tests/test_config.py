@@ -1,10 +1,20 @@
 import copy
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 
-from twistbench import ConfigError, TimeProfile, TrigPolynomial, TwistedFunction
+from twistbench import (
+    ConfigError,
+    SolveConfig,
+    TimeProfile,
+    TrigPolynomial,
+    TwistedFunction,
+    default_model,
+    random_trig_graph,
+    solve,
+)
 from twistbench import config as config_mod
 
 
@@ -38,7 +48,9 @@ def broken_configs():
     bad_mode["spacetime"]["twist"]["s"]["modes"][0]["wavevec"] = []
     bad_family = valid_config()
     bad_family["spacetime"]["twist"]["family"] = "spiral"
-    return [unknown_key, wrong_type, missing, bad_mode, bad_family]
+    bad_kind = valid_config()
+    bad_kind["spacetime"]["twist"]["g"]["kind"] = "sinh"
+    return [unknown_key, wrong_type, missing, bad_mode, bad_family, bad_kind]
 
 
 class TestValidate:
@@ -121,3 +133,119 @@ class TestBuildModel:
             for method in ("value", "dt", "fiber_partials"):
                 got = getattr(model.twist, method)(t, grid)
                 assert np.array_equal(got, getattr(direct, method)(t, grid)), method
+
+
+def solve_config(**options):
+    raw = valid_config()
+    raw["task"] = "solve"
+    del raw["geometry"]
+    raw["solve"] = {"initializer": {"kind": "constant", "value": 0.1}, **options}
+    return raw
+
+
+def _bound_cases():
+    """(option, value, inside) at each bound of the schema's solve options:
+    the boundary value, and the first value past it."""
+    cases = []
+    for name, entry in config_mod.SCHEMA["properties"]["solve"]["properties"].items():
+        if "minimum" in entry:
+            cases += [(name, entry["minimum"], True), (name, entry["minimum"] - 1, False)]
+        if "exclusiveMinimum" in entry:
+            lo = entry["exclusiveMinimum"]
+            cases += [(name, lo, False), (name, math.nextafter(lo, math.inf), True)]
+        if "exclusiveMaximum" in entry:
+            hi = entry["exclusiveMaximum"]
+            cases += [(name, hi, False), (name, math.nextafter(hi, -math.inf), True)]
+    return cases
+
+
+_BOUND_CASES = _bound_cases()
+
+
+def _accepts(build, error):
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+class TestSolveOptions:
+    def test_every_bound_is_covered(self):
+        # 6 minimums, 4 exclusive minimums, and spacelike_cap's exclusive maximum
+        assert len(_BOUND_CASES) == 2 * 11
+        assert len({name for name, _, _ in _BOUND_CASES}) == 10
+
+    @pytest.mark.parametrize(
+        "name, value, inside", _BOUND_CASES, ids=[f"{n}={v!r}" for n, v, _ in _BOUND_CASES]
+    )
+    def test_api_and_schema_agree_on_each_bound(self, name, value, inside):
+        by_schema = _accepts(lambda: config_mod.validate(solve_config(**{name: value})), ConfigError)
+        by_api = _accepts(lambda: SolveConfig(**{name: value}), ValueError)
+        assert by_schema == by_api == inside
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("spacelike_cap", 1.0, "spacelike_cap must lie in (0, 1)"),
+            ("residual_tol", 0.0, "residual_tol must be positive"),
+            ("krylov_rtol", -1.0, "krylov_rtol must be positive"),
+            ("interval_margin", 0.0, "interval_margin must be positive"),
+            ("certificate_samples", 15, "certificate_samples must be at least 16"),
+            ("max_newton_iters", 0, "max_newton_iters must be at least 1"),
+            ("drift_window", 1, "drift_window must be at least 2"),
+        ],
+    )
+    def test_api_bound_messages(self, name, value, message):
+        with pytest.raises(ValueError) as exc:
+            SolveConfig(**{name: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_short_drift_window_is_refused_on_the_refuse_model(self, window):
+        # these used to return a drift certificate after `window` sweeps
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        graph = random_trig_graph(model, seed=3, amplitude=0.1)
+        with pytest.raises(ValueError, match="drift_window must be at least 2"):
+            solve(
+                model,
+                SolveConfig(target=0.0, initial=graph, check_certificate=False, drift_window=window),
+            )
+
+    def test_resolve_fills_every_solve_default(self):
+        cfg = config_mod.resolve(solve_config())
+        assert cfg["solve"] == {
+            "initializer": {"kind": "constant", "value": 0.1},
+            "target": 0.0,
+            "residual_tol": 1e-10,
+            "max_newton_iters": 50,
+            "krylov_rtol": 1e-8,
+            "krylov_maxiter": 500,
+            "spacelike_cap": 0.99,
+            "interval_margin": 1e-6,
+            "check_certificate": True,
+            "certificate_samples": 256,
+            "fallback_chunk": 60,
+            "fallback_max_sweeps": 600,
+            "drift_window": 20,
+        }
+        defaults = SolveConfig()
+        for key, value in cfg["solve"].items():
+            if key != "initializer":
+                assert getattr(defaults, key) == value, key
+
+
+class TestCatalogSchema:
+    def test_twist_schema_lists_each_family_and_its_arguments(self):
+        from twistbench.spacetime import TWIST_FAMILIES
+
+        branches = config_mod.SCHEMA["properties"]["spacetime"]["properties"]["twist"]["oneOf"]
+        got = {b["properties"]["family"]["const"]: b["required"][1:] for b in branches}
+        assert got == {family: list(args) for family, args in TWIST_FAMILIES.items()}
+
+    @pytest.mark.parametrize("kind", ["constant", "linear", "exp", "cosh", "sech", "gauss"])
+    def test_every_time_profile_kind_builds(self, kind):
+        raw = valid_config()
+        raw["spacetime"]["twist"]["g"] = {"kind": kind}
+        model = config_mod.build_model(config_mod.resolve(raw))
+        assert model.twist.g.kind == kind

@@ -374,6 +374,12 @@ class TestConstructor:
         with pytest.raises(ValueError, match=r"traveling twist needs \|amp\| < 1"):
             TwistedFunction("traveling", amp=1.0)
 
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_traveling_period_must_be_positive(self, period):
+        with pytest.raises(ValueError) as exc:
+            TwistedFunction("traveling", amp=0.3, period=period)
+        assert str(exc.value) == "traveling twist needs period > 0"
+
 
 class TestTorquedOneForm:
     def test_vanishes_for_grw(self):
