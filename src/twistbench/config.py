@@ -13,6 +13,8 @@ declarations: ``SolveConfig``, ``TWIST_FAMILIES`` and ``TIME_KINDS``.
 import copy
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import jsonschema
@@ -30,8 +32,27 @@ def _option(default, **schema):
     return field(default=default, metadata={"schema": schema})
 
 
+# the Python types of the schema's type names, with the article of each
+_TYPES = {
+    "boolean": (bool, "a boolean"),
+    "integer": (numbers.Integral, "an integer"),
+    "number": (numbers.Real, "a number"),
+}
+
+
 def _check_bounds(name, value, schema):
-    """Raise ValueError where ``value`` breaks a bound of its schema entry."""
+    """Raise ValueError where ``value`` breaks the type or a bound of its
+    schema entry.
+
+    Types are read as jsonschema reads them: a bool is neither an integer
+    nor a number, and a float with no fractional part is an integer.
+    """
+    if "type" in schema:
+        cls, what = _TYPES[schema["type"]]
+        integral = cls is numbers.Integral and isinstance(value, float) and value.is_integer()
+        if (isinstance(value, bool) != (cls is bool)
+                or not (isinstance(value, cls) or integral)):
+            raise ValueError(f"{name} must be {what}")
     lo, hi = schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum")
     if hi is not None and not lo < value < hi:
         raise ValueError(f"{name} must lie in ({lo}, {hi})")
@@ -74,7 +95,11 @@ class SolveConfig:
         if self.target != "generalized":
             self.target = float(self.target)
         for option in _SOLVE_OPTIONS:
-            _check_bounds(option.name, getattr(self, option.name), option.metadata["schema"])
+            schema = option.metadata["schema"]
+            _check_bounds(option.name, getattr(self, option.name), schema)
+            if schema.get("type") == "integer":
+                # a JSON integer may arrive as 20.0; counts and slices need an int
+                setattr(self, option.name, int(getattr(self, option.name)))
 
 
 # the options a solve block may set: every SolveConfig field but ``initial``
@@ -315,10 +340,20 @@ _TASK_DEFAULTS = {
 
 
 def load_config(path):
-    """Read, parse, and schema-validate a config file."""
+    """Read, parse, and schema-validate a config file.
+
+    NaN, Infinity and -Infinity, and float literals that overflow to one of
+    them, are refused: the schema's bounds cannot reject a NaN.
+    """
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path} holds {text}; numbers must be finite")
+        return value
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

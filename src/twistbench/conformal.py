@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .fiber_grid import component_array, component_sum
 from .graphs import (
     _kit,
     _laplacian_tau_fiber,
@@ -91,11 +92,11 @@ class ConformalFactor:
         return np.zeros(np.broadcast(np.asarray(t), grid.coords[0]).shape)
 
     def fiber_partials(self, t, grid):
-        shape = np.broadcast(np.asarray(t), grid.coords[0]).shape
-        out = np.zeros(shape + (grid.dim,))
         if self.kind == "neg_log_twist":
             f = self.twist.value(t, grid)
             return -self.power * self.twist.fiber_partials(t, grid) / f[..., None]
+        shape = np.broadcast(np.asarray(t), grid.coords[0]).shape
+        out = component_array(shape, grid.dim, zeros=True)
         if self.kind == "fiber":
             for i in range(grid.dim):
                 out[..., i] = grid.sample(self.fiber_profile, i)
@@ -105,8 +106,8 @@ class ConformalFactor:
 def _normal_derivative(kit, phi):
     """g(N, grad phi) = (d/dt phi) cosh(theta) + d_F phi (N_F), exact factors."""
     dt_part = phi.dt(kit.u, kit.grid) * kit.cosh
-    fiber_part = np.sum(
-        phi.fiber_partials(kit.u, kit.grid) * kit.rho[..., None] * kit.grad_u, axis=-1
+    fiber_part = component_sum(
+        phi.fiber_partials(kit.u, kit.grid) * kit.rho[..., None] * kit.grad_u
     )
     return dt_part + fiber_part
 
@@ -175,7 +176,7 @@ def conformal_laplacian_check(h, phi, graph):
     lap1 = coordinate_laplacian(grid, g1, h)
     dphi = grid.partials(phi_vals)
     dh = grid.partials(h)
-    pairing = np.einsum("...i,...i->...", dphi, _small_solve(g1, dh, _small_det(g1)))
+    pairing = component_sum(dphi * _small_solve(g1, dh, _small_det(g1)))
     rhs = np.exp(-2.0 * phi_vals) * (lap1 + (grid.dim - 2) * pairing)
     return ConformalCheck(lhs=lhs, rhs=rhs)
 
@@ -221,7 +222,7 @@ def static_laplacian_check(graph):
     H_tilde = transform_mean_curvature(graph, phi_static)
     normal_log_alpha = kit.f * (
         kit.cosh * dlog_alpha_dt
-        + np.sum(fiber_dlog_alpha * kit.rho[..., None] * kit.grad_u, axis=-1)
+        + component_sum(fiber_dlog_alpha * kit.rho[..., None] * kit.grad_u)
     )
 
     rhs_main = alpha ** -2 * (
@@ -234,9 +235,7 @@ def static_laplacian_check(graph):
     # Discrete differential of the sampled restriction of log alpha; an
     # independent route from the exact chain-rule partials used above.
     dlog_alpha_cov = grid.partials(np.log(alpha))
-    pairing = np.einsum(
-        "...i,...i->...", dlog_alpha_cov, _small_solve(g1, kit.du, _small_det(g1))
-    )
+    pairing = component_sum(dlog_alpha_cov * _small_solve(g1, kit.du, _small_det(g1)))
 
     lap_fiber = _laplacian_tau_fiber(kit)
     relation = ConformalCheck(

@@ -3,15 +3,39 @@
 The fiber is a flat or diagonally-curved n-torus (n = 1, 2, 3) sampled on a
 uniform periodic lattice.  Scalar fields are plain ndarrays of shape
 ``grid.shape``; vector fields carry their contravariant components on a
-trailing axis, shape ``grid.shape + (n,)``.  All stencils are central
-differences with periodic wraparound, and the divergence is evaluated in
-conservation form so that the integral of a divergence over the closed
-fiber vanishes to roundoff.
+trailing axis, shape ``grid.shape + (n,)``, and per-node matrices two
+trailing axes, ``grid.shape + (n, n)``.  Those shapes are what callers see,
+but the arrays built here are stored component by component
+(``component_array``): each ``x[..., i]`` or ``g[..., i, j]`` is one
+contiguous block, so a vector or matrix field is a transposed,
+non-C-contiguous view.  Elementwise arithmetic keeps that layout.  All
+stencils are central differences with periodic wraparound, and the
+divergence is evaluated in conservation form so that the integral of a
+divergence over the closed fiber vanishes to roundoff.
 """
+
+from functools import cache
 
 import numpy as np
 
 __all__ = ["FiberGrid"]
+
+
+def component_array(shape, *counts, zeros=False):
+    """Array of shape ``shape + counts``, stored component by component.
+
+    The memory is laid out as ``counts + shape`` and handed out as a
+    transposed view, so one component is one contiguous block rather than
+    a strided walk over every node.  Uninitialised unless ``zeros``.
+    """
+    base = (np.zeros if zeros else np.empty)(counts + tuple(shape))
+    return base.transpose(_trailing_axes(len(shape), len(counts)))
+
+
+@cache
+def _trailing_axes(ndim, k):
+    """Axes that move the ``k`` leading axes of an ``ndim + k`` array last."""
+    return tuple(range(k, k + ndim)) + tuple(range(k))
 
 
 def component_sum(X):
@@ -82,7 +106,8 @@ class FiberGrid:
         self.coords = np.meshgrid(*self.axes, indexing="ij")
 
         self.metric_coeffs = metric_coeffs
-        diag = np.ones(self.shape + (dim,))
+        diag = component_array(self.shape, dim)
+        diag[...] = 1.0
         if metric_coeffs is not None:
             if len(metric_coeffs) != dim:
                 raise ValueError("metric_coeffs must have one entry per axis")
@@ -140,7 +165,7 @@ class FiberGrid:
 
     def metric_matrix(self):
         """Full diagonal metric as per-node matrices, shape ``shape + (n, n)``."""
-        g = np.zeros(self.shape + (self.dim, self.dim))
+        g = component_array(self.shape, self.dim, self.dim, zeros=True)
         for i in range(self.dim):
             g[..., i, i] = self.metric_diag[..., i]
         return g
@@ -181,7 +206,7 @@ class FiberGrid:
 
     def partials(self, phi):
         """Covector of partial derivatives D_i(phi), shape ``shape + (n,)``."""
-        out = np.empty(np.shape(phi) + (self.dim,))
+        out = component_array(np.shape(phi), self.dim)
         for i in range(self.dim):
             out[..., i] = self.diff(phi, i)
         return out

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SpacelikeError
-from .fiber_grid import component_sum
+from .fiber_grid import component_array, component_sum
 
 __all__ = [
     "GraphField",
@@ -153,13 +153,21 @@ class _Kit:
         return middle, twist_pairing
 
     def metric(self):
-        """Induced metric matrices g_ij = -D_i u D_j u + f^2 (g_F)_ij."""
-        g = self.du[..., :, None] * self.du[..., None, :]
-        # 0 - x rather than -x: zero off-diagonal products stay +0.0
-        np.subtract(0.0, g, out=g)
+        """Induced metric matrices g_ij = -D_i u D_j u + f^2 (g_F)_ij, stored
+        component by component (``component_array``), one entry at a time."""
+        n, du = self.n, self.du
+        g = component_array(self.grid.shape, n, n)
         f_sq = self.f * self.f
-        for i in range(self.n):
-            g[..., i, i] += f_sq * self.grid.metric_diag[..., i]
+        for i in range(n):
+            for j in range(i):
+                g[..., i, j] = g[..., j, i]  # D_j u D_i u, the same product
+            for j in range(i, n):
+                entry = g[..., i, j]
+                np.multiply(du[..., i], du[..., j], out=entry)
+                # 0 - x rather than -x: zero off-diagonal products stay +0.0
+                np.subtract(0.0, entry, out=entry)
+                if i == j:
+                    entry += f_sq * self.grid.metric_diag[..., i]
         return g
 
     def det_factored(self):
@@ -200,10 +208,11 @@ def _small_solve(g, v, det):
 
     ``v`` has shape ``+ (n,)`` and ``det`` is ``_small_det(g)``.  No symmetry
     of ``g`` is assumed.  Each output component is accumulated from the
-    cofactors of one column of ``g``, so no n x n intermediate is formed.
+    cofactors of one column of ``g``, so no n x n intermediate is formed;
+    ``x`` is stored component by component.
     """
     n = g.shape[-1]
-    x = np.empty(v.shape)
+    x = component_array(v.shape[:-1], n)
     if n == 1:
         np.divide(v[..., 0], g[..., 0, 0], out=x[..., 0])
         return x
@@ -459,7 +468,7 @@ def _area_of_values(model, values):
     grid = model.fiber
     f = model.twist.value(values, grid)
     du = grid.partials(values)
-    grad_sq = np.sum(du * du / grid.metric_diag, axis=-1)
+    grad_sq = component_sum(du * du / grid.metric_diag)
     support = f * f - grad_sq
     if np.any(support <= 0.0):
         raise SpacelikeError("area evaluation left the spacelike regime")

@@ -363,7 +363,7 @@ def _linearization(model, u, du, target):
                 at = u + sign * 1e-6 * (1.0 + float(np.max(np.abs(u))))
                 moved.append(at)
             else:
-                cov = du.copy()
+                cov = np.copy(du)  # keeps du's component-major layout
                 cov[..., a - 1] += sign * 1e-6 * (1.0 + float(np.max(np.abs(du))))
                 moved.append(cov[..., a - 1])
             kits.append(_Kit(model, at, cov, require_spacelike=False))
@@ -580,7 +580,7 @@ def _stable_pseudo_time_step(kit):
     the step is capped by the reciprocal of the worst node.
     """
     grid = kit.grid
-    stencil = np.sum(1.0 / (grid.metric_diag * grid.spacing**2), axis=-1)
+    stencil = component_sum(1.0 / (grid.metric_diag * grid.spacing**2))
     lam = float(np.max(kit.cosh * kit.rho * stencil)) / kit.n
     return 0.9 / lam
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .fiber_grid import component_sum
+from .fiber_grid import component_array, component_sum
 
 __all__ = [
     "TWIST_FAMILIES",
@@ -120,7 +120,7 @@ class TwistedFunction:
         """Fiber partials from the order-0 profiles g, q (unused where f has
         no fiber dependence through them)."""
         shape = np.broadcast(t, grid.coords[0]).shape
-        out = np.zeros(shape + (grid.dim,))
+        out = component_array(shape, grid.dim, zeros=True)
         if self.family == "pure_time":
             return out
         if self.family == "traveling":
@@ -334,7 +334,7 @@ def torqued_one_form(model, t, V):
     grid = model.fiber
     V = grid.check_vector(V, "V")
     partials = model.twist.fiber_partials(t, grid)
-    return np.sum(partials * V, axis=-1) / model.twist.value(t, grid)
+    return component_sum(partials * V) / model.twist.value(t, grid)
 
 
 def slice_mean_curvature(model, t0):

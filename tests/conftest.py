@@ -97,3 +97,9 @@ def assert_bitwise(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+def is_component_major(x, k=1):
+    """True when ``x``, of shape ``shape + (n,) * k``, stores each component
+    as one contiguous block."""
+    return np.moveaxis(x, tuple(range(-k, 0)), tuple(range(k))).flags.c_contiguous

@@ -133,6 +133,21 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["geometry", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, literal):
+        # NaN passes the schema's bounds; it used to end in a ValueError
+        # traceback from SolveConfig
+        cfg = base_config("solve", tmp_path / "out")
+        cfg["solve"] = {"initializer": {"kind": "constant", "value": 0.1},
+                        "residual_tol": "PLACEHOLDER"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', literal))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert literal in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     def test_transition_solve_exits_0_with_artifacts(self, tmp_path):

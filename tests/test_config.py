@@ -161,6 +161,22 @@ def _bound_cases():
 
 _BOUND_CASES = _bound_cases()
 
+# (option, value, accepted): each schema type against values of other types
+_TYPE_CASES = [
+    ("drift_window", 2.5, False),
+    ("drift_window", 20.0, True),   # a JSON integer
+    ("drift_window", True, False),  # a bool is not an integer
+    ("drift_window", "20", False),
+    ("fallback_chunk", None, False),
+    ("check_certificate", "no", False),
+    ("check_certificate", 0, False),
+    ("check_certificate", False, True),
+    ("residual_tol", True, False),
+    ("residual_tol", "1e-9", False),
+    ("residual_tol", 1, True),
+    ("spacelike_cap", [0.5], False),
+]
+
 
 def _accepts(build, error):
     try:
@@ -200,6 +216,44 @@ class TestSolveOptions:
         with pytest.raises(ValueError) as exc:
             SolveConfig(**{name: value})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "name, value, inside", _TYPE_CASES, ids=[f"{n}={v!r}" for n, v, _ in _TYPE_CASES]
+    )
+    def test_api_and_schema_agree_on_each_type(self, name, value, inside):
+        by_schema = _accepts(lambda: config_mod.validate(solve_config(**{name: value})), ConfigError)
+        by_api = _accepts(lambda: SolveConfig(**{name: value}), ValueError)
+        assert by_schema == by_api == inside
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("drift_window", 2.5, "drift_window must be an integer"),
+            ("certificate_samples", True, "certificate_samples must be an integer"),
+            ("check_certificate", "no", "check_certificate must be a boolean"),
+            ("residual_tol", False, "residual_tol must be a number"),
+        ],
+    )
+    def test_api_type_messages(self, name, value, message):
+        with pytest.raises(ValueError) as exc:
+            SolveConfig(**{name: value})
+        assert str(exc.value) == message
+
+    def test_numpy_integers_and_integral_floats_are_integers(self):
+        cfg = SolveConfig(drift_window=np.int64(5), certificate_samples=np.int32(32),
+                          max_newton_iters=20.0, residual_tol=np.float64(1e-9))
+        assert (cfg.drift_window, cfg.certificate_samples, cfg.max_newton_iters) == (5, 32, 20)
+        assert type(cfg.max_newton_iters) is int
+
+    def test_fractional_drift_window_is_refused_before_the_solve(self):
+        # used to run until the drift detector sliced with it (TypeError)
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        graph = random_trig_graph(model, seed=3, amplitude=0.1)
+        with pytest.raises(ValueError, match="drift_window must be an integer"):
+            solve(
+                model,
+                SolveConfig(target=0.0, initial=graph, check_certificate=False, drift_window=2.5),
+            )
 
     @pytest.mark.parametrize("window", [0, 1])
     def test_short_drift_window_is_refused_on_the_refuse_model(self, window):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from twistbench import ConformalFactor, FiberGrid, TimeProfile, TrigPolynomial, TwistedFunction
-from twistbench.fiber_grid import component_sum
+from twistbench.fiber_grid import component_array, component_sum
 
 from conftest import (
     assert_bitwise,
+    is_component_major,
     random_trig_field,
     roll_diff,
     stack_partials,
@@ -207,6 +208,38 @@ class TestBitwiseKernels:
         X[1, :, 0] = -0.0
         assert_bitwise(component_sum(X), np.sum(X, axis=-1))
         assert not np.any(np.signbit(component_sum(X)[0]))
+
+
+class TestComponentMajorLayout:
+    """Vector and matrix fields keep their trailing-axis shapes but are
+    stored component by component; node-major storage fails these."""
+
+    def test_the_guard_rejects_node_major_storage(self):
+        assert not is_component_major(np.empty((8, 8, 3)))
+        assert not is_component_major(np.empty((8, 8, 3, 3)), 2)
+        assert is_component_major(np.empty((3, 8, 8)).transpose(1, 2, 0))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_component_array_is_a_transposed_block_per_component(self, zeros):
+        x = component_array((4, 5), 2, 3, zeros=zeros)
+        assert x.shape == (4, 5, 2, 3)
+        assert is_component_major(x, 2)
+        assert x[..., 1, 2].flags.c_contiguous
+        assert x.base.shape == (2, 3, 4, 5)
+        if zeros:
+            assert not np.any(x)
+
+    @pytest.mark.parametrize("dim, m", [(2, 12), (3, 8)])
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_grid_fields_are_stored_component_by_component(self, dim, m, curved):
+        grid = unit_torus(dim, m, curved=curved)
+        phi = random_trig_field(grid, seed=dim)
+        for field in (grid.partials(phi), grid.gradient(phi), grid.metric_diag):
+            assert field.shape == grid.shape + (dim,)
+            assert is_component_major(field)
+        g = grid.metric_matrix()
+        assert g.shape == grid.shape + (dim, dim)
+        assert is_component_major(g, 2)
 
 
 class TestValidation:

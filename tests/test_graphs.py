@@ -7,6 +7,7 @@ from twistbench import (
     SpacelikeError,
     SpacetimeModel,
     TimeProfile,
+    TrigPolynomial,
     TwistedFunction,
     area,
     area_gradient_check,
@@ -40,6 +41,7 @@ from twistbench.graphs import (
 from conftest import (
     assert_bitwise,
     flat_grw_model,
+    is_component_major,
     random_trig_field,
     stack_partials,
     sum_inner,
@@ -549,3 +551,154 @@ class TestGeometryReport:
         graph = near_critical_sine(model, delta=0.02)
         report = geometry_report(graph)
         assert report.ill_conditioned.any()
+
+
+# ---------------------------------------------------------------------------
+# storage layout: vector and matrix fields are stored component by component
+
+
+def node_major_metric(self):
+    """The induced metric as a broadcast outer product, stored node by node."""
+    g = self.du[..., :, None] * self.du[..., None, :]
+    np.subtract(0.0, g, out=g)
+    f_sq = self.f * self.f
+    for i in range(self.n):
+        g[..., i, i] += f_sq * self.grid.metric_diag[..., i]
+    return g
+
+
+def node_major_partials(self, phi):
+    out = np.empty(np.shape(phi) + (self.dim,))
+    for i in range(self.dim):
+        out[..., i] = self.diff(phi, i)
+    return out
+
+
+def node_major_array(shape, *counts, zeros=False):
+    return (np.zeros if zeros else np.empty)(tuple(shape) + counts)
+
+
+def use_node_major_layout(patch):
+    """Put back the node-major reference: C-order vector and matrix fields,
+    the broadcast outer-product metric and np.sum over the trailing axis."""
+    from twistbench import conformal, fiber_grid, graphs, solver, spacetime
+    from twistbench.fiber_grid import FiberGrid
+    from twistbench.graphs import _Kit
+
+    for module in (fiber_grid, graphs, spacetime, conformal):
+        patch.setattr(module, "component_array", node_major_array)
+    for module in (fiber_grid, graphs, spacetime, conformal, solver):
+        patch.setattr(module, "component_sum", lambda X: np.sum(X, axis=-1))
+    patch.setattr(_Kit, "metric", node_major_metric)
+    patch.setattr(FiberGrid, "partials", node_major_partials)
+
+
+def layout_model(dim, m, curved, twist):
+    """A model from ``default_model``, or with ``twist="oblique"`` a separable
+    twist whose fiber profile varies along every axis."""
+    if twist != "oblique":
+        return default_model(dim, resolution=m, curved=curved, twist=twist)
+    model = default_model(dim, resolution=m, curved=curved)
+    s = TrigPolynomial.from_specs(
+        [{"coeff": 0.6, "wavevec": (1,) * dim, "phase": 0.4},
+         {"coeff": -0.3, "wavevec": (0,) * (dim - 1) + (1,), "phase": 1.1}],
+        model.fiber.periods,
+    )
+    twist = TwistedFunction("separable", g=TimeProfile("gauss"), eps=0.15, s=s)
+    return SpacetimeModel(model.interval, model.fiber, twist)
+
+
+def layout_fields(dim, m, curved, twist):
+    """Every per-node array the storage layout could reach, by name."""
+    from twistbench.conformal import (
+        ConformalFactor,
+        conformal_laplacian_check,
+        maximal_power_check,
+        static_laplacian_check,
+    )
+    from twistbench.solver import residual_field
+
+    model = layout_model(dim, m, curved, twist)
+    grid = model.fiber
+    out = {"metric_diag": grid.metric_diag, "det_metric": grid.det_metric}
+    graphs = {"random": random_trig_graph(model, seed=dim, amplitude=0.05),
+              "slice": GraphField.constant(model, 0.0)}
+    h = np.sin(2.0 * np.pi * grid.coords[0]) + 0.3 * np.cos(2.0 * np.pi * grid.coords[-1])
+    wave = TrigPolynomial.from_specs([{"coeff": 0.2, "wavevec": (1,) * dim}], grid.periods)
+    factors = {"const": ConformalFactor.constant(0.3),
+               "static": ConformalFactor.static_picture(model.twist),
+               "fiber": ConformalFactor.fiber_only(wave)}
+    for key, graph in graphs.items():
+        kit = _kit(graph)
+        g = kit.metric()
+        det = _small_det(g)
+        obstruction = warped_obstruction(graph)
+        static = static_laplacian_check(graph)
+        out.update({
+            f"{key}/metric": g,
+            f"{key}/small_det": det,
+            f"{key}/small_solve": _small_solve(g, kit.composed_df(), det),
+            f"{key}/coordinate_laplacian": coordinate_laplacian(grid, g, h),
+            f"{key}/laplacian_tau_coordinate": laplacian_tau_coordinate(graph),
+            f"{key}/laplacian_tau_fiber": laplacian_tau_fiber(graph),
+            f"{key}/mean_curvature": mean_curvature(graph),
+            f"{key}/mean_curvature_from_laplacian": mean_curvature_from_laplacian(graph),
+            f"{key}/obstruction": obstruction.components,
+            f"{key}/obstruction_norm": obstruction.norm,
+            f"{key}/area": np.array(area(graph)),
+            f"{key}/area_gradient": area_gradient_check(graph, count=4).fd_gradient,
+            f"{key}/residual_generalized": residual_field(graph, "generalized"),
+            f"{key}/static.main": static.main.defect,
+            f"{key}/static.laplacian_relation": static.laplacian_relation.defect,
+            f"{key}/static.gradient_pairing": static.gradient_pairing.defect,
+        })
+        for name, phi in factors.items():
+            out[f"{key}/conformal.{name}"] = conformal_laplacian_check(h, phi, graph).defect
+    if dim == 3 and twist == "separable_gauss":
+        # the t = 0 slice of exp(-t^2)(1 + eps s) is maximal
+        out["slice/maximal_power"] = maximal_power_check(graphs["slice"]).defect
+    return out
+
+
+LAYOUT_CASES = [
+    (dim, m, curved, twist)
+    for dim, m in ((1, 16), (2, 12), (3, 8))
+    for curved in (False, True)
+    for twist in ("separable_gauss", "additive", "oblique")
+]
+
+
+class TestComponentMajorLayout:
+    @pytest.mark.parametrize("dim, m, curved, twist", LAYOUT_CASES)
+    def test_per_node_arrays_are_bitwise_the_node_major_ones(
+        self, monkeypatch, dim, m, curved, twist
+    ):
+        got = layout_fields(dim, m, curved, twist)
+        with monkeypatch.context() as patch:
+            use_node_major_layout(patch)
+            expected = layout_fields(dim, m, curved, twist)
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            assert_bitwise(got[name], value)
+
+    def test_the_reference_is_node_major(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            use_node_major_layout(patch)
+            model = default_model(3, resolution=8, twist="separable_gauss")
+            kit = _kit(random_trig_graph(model, seed=3, amplitude=0.05))
+            assert not is_component_major(kit.du)
+            assert not is_component_major(kit.metric(), 2)
+            assert kit.metric().flags.c_contiguous
+
+    @pytest.mark.parametrize("dim, m", [(2, 12), (3, 8)])
+    def test_kit_fields_are_stored_component_by_component(self, dim, m):
+        model = layout_model(dim, m, True, "oblique")
+        kit = _kit(random_trig_graph(model, seed=dim, amplitude=0.05))
+        g = kit.metric()
+        assert g.shape == model.fiber.shape + (dim, dim)
+        assert is_component_major(g, 2)
+        assert not g.flags.c_contiguous  # InducedMetric.matrix is a view
+        for field in (kit.du, kit.fiber_df, kit.grad_u, kit.flux(),
+                      _small_solve(g, kit.du, _small_det(g))):
+            assert field.shape == model.fiber.shape + (dim,)
+            assert is_component_major(field)
