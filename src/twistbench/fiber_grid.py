@@ -73,6 +73,10 @@ class FiberGrid:
         Lattice shape (m_1, ..., m_n).
     spacing : ndarray
         Grid spacings h_i.
+    coords, open_coords : list of ndarray
+        Node coordinates per axis: full arrays of shape ``shape``, and the
+        same values on open axes, axis i shaped (1, .., m_i, .., 1), which
+        broadcast to them.
     metric_diag : ndarray, shape ``shape + (n,)``
         Diagonal metric coefficients at the nodes.
     weights : ndarray, shape ``shape``
@@ -104,6 +108,7 @@ class FiberGrid:
             np.arange(m) * h for m, h in zip(resolution, self.spacing)
         ]
         self.coords = np.meshgrid(*self.axes, indexing="ij")
+        self.open_coords = np.meshgrid(*self.axes, indexing="ij", sparse=True)
 
         self.metric_coeffs = metric_coeffs
         diag = component_array(self.shape, dim)
@@ -173,16 +178,20 @@ class FiberGrid:
     def sample(self, poly, axis=None):
         """Node values of a fiber profile (``axis`` None) or of its partial.
 
-        ``poly`` is a ``TrigPolynomial``; the samples are computed once per
-        grid and returned read-only, since a profile never changes.
+        ``poly`` is a ``TrigPolynomial``, evaluated on ``open_coords``; the
+        samples are computed once per grid and returned read-only, since a
+        profile never changes.
         """
-        key = (poly, axis)
+        if axis is None:
+            return self.cached((poly, None), lambda: poly.value(*self.open_coords))
+        return self.cached((poly, axis), lambda: poly.partial(axis, *self.open_coords))
+
+    def cached(self, key, compute):
+        """The node array ``compute()``, computed on the first call with
+        ``key`` and kept read-only beside the profile samples."""
         values = self._samples.get(key)
         if values is None:
-            if axis is None:
-                values = poly.value(*self.coords)
-            else:
-                values = poly.partial(axis, *self.coords)
+            values = compute()
             values.flags.writeable = False
             self._samples[key] = values
         return values

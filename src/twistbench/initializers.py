@@ -67,7 +67,7 @@ def random_trig_graph(
             }
         )
     poly = TrigPolynomial.from_specs(modes, grid.periods)
-    deviation = poly.value(*grid.coords)
+    deviation = poly.value(*grid.open_coords)
 
     lo = t_min + 0.05 * span
     hi = t_max - 0.05 * span

@@ -5,6 +5,7 @@ g(t) and periodic trigonometric polynomials s(x) on the fiber.  Both expose
 exact derivative evaluators; nothing here is differentiated numerically.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,23 @@ class TimeProfile:
         return -2.0 * t * np.exp(-t * t)
 
 
+def _finite(value, name):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"mode {name} must be finite, got {value!r}")
+    return value
+
+
+def _whole(k):
+    """A wavevector entry as an int; bools and fractional values are refused."""
+    integral = isinstance(k, numbers.Integral) or (
+        isinstance(k, numbers.Real) and float(k).is_integer()
+    )
+    if isinstance(k, bool) or not integral:
+        raise ValueError(f"wavevector entries must be integers, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class TrigPolynomial:
     """Periodic trig polynomial sum_k c_k cos(2 pi k.x/L + phi_k).
@@ -80,19 +98,29 @@ class TrigPolynomial:
 
     @staticmethod
     def from_specs(mode_specs, periods):
+        """Build from dicts ``{"coeff", "wavevec", "phase" (optional)}``.
+
+        Raises ValueError for a non-finite coefficient or phase and for a
+        wavevector entry that is a bool or not integral; an integral float
+        such as 2.0 counts as an integer, as in the config schema.
+        """
         periods = tuple(float(L) for L in periods)
         modes = []
         for spec in mode_specs:
-            coeff = float(spec["coeff"])
-            wavevec = tuple(int(k) for k in np.atleast_1d(spec["wavevec"]))
+            coeff = _finite(spec["coeff"], "coeff")
+            entries = np.atleast_1d(np.asarray(spec["wavevec"], dtype=object))
+            wavevec = tuple(_whole(k) for k in entries)
             if len(wavevec) != len(periods):
                 raise ValueError("wavevector length must match fiber dimension")
-            phase = float(spec.get("phase", 0.0))
+            phase = _finite(spec.get("phase", 0.0), "phase")
             modes.append((coeff, wavevec, phase))
         return TrigPolynomial(tuple(modes), periods)
 
     def _angles(self, coords, wavevec, phase):
-        ang = np.full(np.broadcast(*coords).shape, phase)
+        """phase + sum_i 2 pi k_i x_i / L_i, added axis by axis from the
+        scalar phase: on open axes each term costs m_i products, and a mode
+        constant along an axis keeps the smaller broadcast shape."""
+        ang = phase
         for x, k, L in zip(coords, wavevec, self.periods):
             if k:
                 ang = ang + (2.0 * np.pi * k / L) * x

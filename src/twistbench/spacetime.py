@@ -97,14 +97,27 @@ class TwistedFunction:
             return g, None
         return g, (self.q.value, self.q.deriv)[order](t)
 
-    def _combine(self, t, grid, g, q):
-        """f, or one of its time derivatives, from the profiles of that order."""
+    def _fiber_factor(self, grid):
+        """The fiber factor a(x) of a separable (f = g a, a = 1 + eps s) or
+        additive (f = g + a q, a = eps s) twist: computed once per grid and
+        kept read-only beside the profile samples."""
+        def compute():
+            eps_s = self.eps * grid.sample(self.s)
+            return 1.0 + eps_s if self.family == "separable" else eps_s
+
+        # eps by its bits: eps = -0.0 and 0.0 give additive factors of different zeros
+        return grid.cached((self.family, self.eps.hex(), self.s), compute)
+
+    def _combine(self, t, grid, g, q, factor=None):
+        """f, or one of its time derivatives, from the profiles of that order
+        and the fiber factor (the grid's, unless ``factor`` is given)."""
         if self.family == "pure_time":
             return np.broadcast_to(g, np.broadcast(t, grid.coords[0]).shape).copy()
+        a = self._fiber_factor(grid) if factor is None else factor
         # g (1 + eps s) and g + eps s q round differently: keep both forms
         if self.family == "separable":
-            return g * (1.0 + self.eps * grid.sample(self.s))
-        return g + self.eps * grid.sample(self.s) * q
+            return g * a
+        return g + a * q
 
     def _time_derivative(self, t, grid, order):
         """d^order f / dt^order at (t, x), for order 0 or 1."""
@@ -191,16 +204,40 @@ class SpacetimeModel:
         self._check_positive()
 
     def _check_positive(self, t_samples=64):
-        for block in self.time_blocks(t_samples):
-            values = self.twist.value(block, self.fiber).reshape(len(block), -1)
-            bad = np.any(~np.isfinite(values) | (values <= 0.0), axis=1)
+        for times, values in self._positivity_sweep(t_samples):
+            # every value lies in (0, inf) exactly when the smallest is > 0
+            # and the largest < inf; a NaN fails both
+            bad = ~((values.min(axis=1) > 0.0) & (values.max(axis=1) < np.inf))
             if bad.any():
-                t = block.ravel()[np.argmax(bad)]
+                t = times[np.argmax(bad)]
                 raise ValueError(f"twist function is not positive near t={t:.6g}")
         if self.twist.family == "separable":
             s_max = float(np.max(np.abs(self.fiber.sample(self.twist.s))))
             if abs(self.twist.eps) * s_max >= 1.0:
                 raise ValueError("separable twist needs |eps| * max|s| < 1")
+
+    def _positivity_sweep(self, t_samples):
+        """(times, values) blocks over the ``time_samples`` lattice; row i of
+        ``values`` holds values of f at ``times[i]`` whose smallest and
+        largest are those of f over the fiber.
+
+        A separable or additive f is g a or g + a q with the fiber factor a,
+        and correctly rounded products and sums are monotone in a, so at
+        each time f over the fiber has its extremes (NaN, infinities and
+        zeros included) at min a and max a: one evaluation at those two
+        factors covers every time.  Other families sweep the whole fiber.
+        """
+        twist, grid = self.twist, self.fiber
+        if twist.family in ("separable", "additive"):
+            a = twist._fiber_factor(grid)
+            extremes = np.array([a.min(), a.max()])
+            times = self.time_samples(t_samples)[:, None]
+            g, q = twist._profiles(times, 0)
+            return [(times.ravel(), twist._combine(times, grid, g, q, factor=extremes))]
+        return (
+            (block.ravel(), twist.value(block, grid).reshape(len(block), -1))
+            for block in self.time_blocks(t_samples)
+        )
 
     def time_samples(self, count):
         """Midpoint lattice over the open interval (endpoints excluded)."""
@@ -262,20 +299,36 @@ def classify(model, t_samples=64):
         raise ValueError("t_samples must be at least 16")
     grid = model.fiber
     times = model.time_samples(t_samples)
-    dft = np.concatenate(
-        [model.twist.dt(block, grid) for block in model.time_blocks(t_samples)]
-    )
+    # signs accumulate block by block; per node, one more than the last
+    # positive sample and t_samples less the first negative one, each a
+    # running max that stays 0 where there is no such sample
+    min_dt, max_dt = np.inf, -np.inf
+    n_pos = n_neg = start = 0
+    last_pos = np.zeros(grid.shape, dtype=np.int32)
+    first_neg = np.zeros(grid.shape, dtype=np.int32)
+    for block in model.time_blocks(t_samples):
+        dft = model.twist.dt(block, grid)
+        # np.minimum and np.maximum keep a NaN, as one min over all blocks would
+        min_dt = np.minimum(min_dt, dft.min())
+        max_dt = np.maximum(max_dt, dft.max())
+        pos = dft > SIGN_TOL
+        neg = dft < -SIGN_TOL
+        n_pos += int(np.count_nonzero(pos))
+        n_neg += int(np.count_nonzero(neg))
+        rows = np.arange(start, start + len(block), dtype=np.int32).reshape(block.shape)
+        start += len(block)
+        np.maximum(last_pos, (pos * (rows + 1)).max(axis=0), out=last_pos)
+        np.maximum(first_neg, (neg * (t_samples - rows)).max(axis=0), out=first_neg)
 
-    min_dt = float(dft.min())
-    max_dt = float(dft.max())
-    pos = dft > SIGN_TOL
-    neg = dft < -SIGN_TOL
+    min_dt = float(min_dt)
+    max_dt = float(max_dt)
+    size = t_samples * grid.n_nodes
     evidence = {
         "t_samples": int(t_samples),
         "min_dt": min_dt,
         "max_dt": max_dt,
-        "frac_positive": float(pos.mean()),
-        "frac_negative": float(neg.mean()),
+        "frac_positive": n_pos / size,
+        "frac_negative": n_neg / size,
     }
 
     if min_dt > SIGN_TOL:
@@ -283,11 +336,9 @@ def classify(model, t_samples=64):
     if max_dt < -SIGN_TOL:
         return ExpansionClass("contracting", evidence=evidence)
 
-    any_pos = pos.any(axis=0)
-    any_neg = neg.any(axis=0)
-    if np.all(any_pos) and np.all(any_neg):
-        last_pos = (t_samples - 1) - np.argmax(pos[::-1], axis=0)
-        first_neg = np.argmax(neg, axis=0)
+    last_pos -= 1                    # -1 where d/dt f is never positive
+    first_neg = t_samples - first_neg  # t_samples where it is never negative
+    if np.all(last_pos >= 0) and np.all(first_neg < t_samples):
         if np.all(last_pos < first_neg):
             lo = times[last_pos].astype(float)
             hi = times[first_neg].astype(float)

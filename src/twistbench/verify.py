@@ -78,7 +78,7 @@ class _Context:
                 }
             )
         poly = TrigPolynomial.from_specs(modes, grid.periods)
-        return poly.value(*grid.coords)
+        return poly.value(*grid.open_coords)
 
     def conformal_catalog(self):
         twist = self.model.twist

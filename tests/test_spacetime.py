@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ class TestClassify:
         for name, model in all_builtin_models().items():
             tags = {classify(model, t_samples=n).tag for n in (64, 128, 256)}
             assert len(tags) == 1, name
+
+    def test_sampling_memory_stays_at_block_size(self):
+        # 64 samples on 32^3 nodes: a stack of every d/dt f would hold 16.8 MB
+        model = default_model(3, resolution=32)
+        tracemalloc.start()
+        try:
+            assert classify(model).tag == "transition"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -241,24 +254,176 @@ class TestBlockedTimeSweeps:
 
     @pytest.mark.parametrize("dim, resolution, blocks", [(1, 128, (1, 1)), (2, 64, (4, 3))])
     def test_one_twist_call_per_block(self, monkeypatch, dim, resolution, blocks):
-        # (positivity check and classify, is_grw) blocks: 64 and 33 samples
-        # in blocks of 512 times on 128 nodes and of 16 times on 64^2
+        # (classify, is_grw) blocks: 64 and 33 samples in blocks of 512
+        # times on 128 nodes and of 16 times on 64^2; the positivity check
+        # of a separable twist reads its fiber factor and calls no evaluator
         values = count_calls(monkeypatch, TwistedFunction, "value")
         norms = count_calls(monkeypatch, TwistedFunction, "fiber_grad_norm")
         rates = count_calls(monkeypatch, TwistedFunction, "dt")
         model = default_model(dim, resolution=resolution, twist="separable_exp")
-        assert (len(values), len(norms)) == (blocks[0], 0)
+        assert (len(values), len(norms), len(rates)) == (0, 0, 0)
         # an expanding model needs no bisection: every dt call samples
         assert classify(model).tag == "expanding"
         assert len(rates) == blocks[0]
         assert not is_grw(model)
-        assert len(values) - blocks[0] == len(norms) == blocks[1]
+        assert len(values) == len(norms) == blocks[1]
+
+    @pytest.mark.parametrize(
+        "twist, dim, resolution, sweeps",
+        [("additive", 2, 64, 0), ("grw_exp", 1, 128, 1), ("grw_exp", 2, 64, 4),
+         ("traveling", 1, 128, 1)],
+    )
+    def test_positivity_sweeps_only_twists_without_a_fiber_factor(
+        self, monkeypatch, twist, dim, resolution, sweeps
+    ):
+        values = count_calls(monkeypatch, TwistedFunction, "value")
+        default_model(dim, resolution=resolution, twist=twist)
+        assert len(values) == sweeps
 
     def test_positivity_error_names_the_first_failing_time(self):
         # g = 0.5 - t; all 64 samples share one block on 128 nodes
         twist = TwistedFunction("pure_time", g=TimeProfile("linear", {"a": 0.5, "b": -1.0}))
         with pytest.raises(ValueError, match=r"^twist function is not positive near t=0\.515625$"):
             SpacetimeModel((-1.0, 1.0), unit_torus(1, 128), twist)
+
+
+def reference_positivity(interval, grid, twist, t_samples=64):
+    """The model build's verdict from a sweep over every node: None, or the
+    ValueError message.  f comes from its literal formula."""
+    t_min, t_max = interval
+    times = t_min + (np.arange(t_samples) + 0.5) * ((t_max - t_min) / t_samples)
+    t = times.reshape((-1,) + (1,) * grid.dim)
+    s = twist.s.value(*grid.coords)
+    if twist.family == "separable":
+        values = twist.g.value(t) * (1.0 + twist.eps * s)
+    else:
+        values = twist.g.value(t) + twist.eps * s * twist.q.value(t)
+    values = values.reshape(t_samples, -1)
+    bad = np.any(~np.isfinite(values) | (values <= 0.0), axis=1)
+    if bad.any():
+        return f"twist function is not positive near t={times[np.argmax(bad)]:.6g}"
+    if twist.family == "separable" and abs(twist.eps) * float(np.max(np.abs(s))) >= 1.0:
+        return "separable twist needs |eps| * max|s| < 1"
+    return None
+
+
+def adversarial_twists(grid):
+    """Separable and additive twists whose values over the fiber reach zero,
+    go negative, overflow, underflow to zero or stay positive."""
+    g_profiles = [
+        TimeProfile("constant", {"c": 0.0}),
+        TimeProfile("linear", {"a": 0.2, "b": -1.0}),   # crosses zero
+        TimeProfile("exp", {"rate": 800.0}),            # overflows
+        TimeProfile("constant", {"c": 1e-320}),         # subnormal: g a underflows
+        TimeProfile("gauss"),
+    ]
+    q_profiles = [TimeProfile("linear", {"a": 0.0, "b": 1.0}), TimeProfile("cosh")]
+    for phase in (0.0, 0.3):
+        s = ripple(grid, phase=phase)
+        for g in g_profiles:
+            for eps in (0.1, 0.999, 1.0, -1.0, 2.0, -0.5):
+                yield TwistedFunction("separable", g=g, eps=eps, s=s)
+                for q in q_profiles:
+                    yield TwistedFunction("additive", g=g, eps=eps, s=s, q=q)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+class TestPositivity:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_verdicts_match_the_per_node_sweep(self, dim):
+        # odd resolutions reach the separable |eps| max|s| rule: no node of
+        # a 9-node axis sits where 1 - |s| vanishes
+        verdicts = set()
+        for resolution in (8, 9):
+            grid = unit_torus(dim, resolution)
+            for twist in adversarial_twists(grid):
+                for interval in ((-1.0, 1.0), (-2.0, 3.0)):
+                    expected = reference_positivity(interval, grid, twist)
+                    try:
+                        SpacetimeModel(interval, grid, twist)
+                        message = None
+                    except ValueError as exc:
+                        message = str(exc)
+                    assert message == expected, (twist.family, twist.eps, interval)
+                    verdicts.add(None if message is None else message.split(" near")[0])
+        assert verdicts == {
+            None,
+            "twist function is not positive",
+            "separable twist needs |eps| * max|s| < 1",
+        }
+
+    def test_extremes_cover_blocks_past_the_first(self):
+        # 64^2 nodes: the per-node sweep took 4 blocks of 16 times;
+        # f = 0.6 - t + 0.1 s first reaches zero at t = 0.5, in the last block
+        grid = unit_torus(2, 64)
+        twist = TwistedFunction(
+            "additive", g=TimeProfile("linear", {"a": 0.6, "b": -1.0}), eps=0.1,
+            s=ripple(grid), q=TimeProfile("constant", {"c": 1.0}),
+        )
+        expected = reference_positivity((-1.0, 1.0), grid, twist)
+        assert expected == "twist function is not positive near t=0.515625"
+        with pytest.raises(ValueError) as exc:
+            SpacetimeModel((-1.0, 1.0), grid, twist)
+        assert str(exc.value) == expected
+
+
+class TestFiberFactor:
+    """separable and additive twists read a fiber factor a = 1 + eps s or
+    eps s kept on the grid; f, d/dt f and the partials stay bitwise the
+    literal formulas."""
+
+    @pytest.mark.parametrize("curved", [False, True])
+    @pytest.mark.parametrize("name", ["separable_gauss", "separable_exp", "additive"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_evaluators_match_the_literal_formulas(self, dim, name, curved):
+        model = default_model(dim, resolution=8, twist=name, curved=curved)
+        twist, grid = model.twist, model.fiber
+        eps, s = twist.eps, twist.s.value(*grid.coords)
+        ds = [twist.s.partial(i, *grid.coords) for i in range(dim)]
+        heights = 0.3 + 0.2 * np.cos(2.0 * np.pi * grid.coords[-1])
+        for t in (0.2, heights, model.time_blocks(5)[0]):
+            g, dg = twist.g.value(t), twist.g.deriv(t)
+            if twist.family == "separable":
+                f, dtf = g * (1.0 + eps * s), dg * (1.0 + eps * s)
+                partials = [g * eps * d for d in ds]
+            else:
+                q, dq = twist.q.value(t), twist.q.deriv(t)
+                f, dtf = g + eps * s * q, dg + eps * s * dq
+                partials = [eps * d * q for d in ds]
+            partials = np.stack(partials, axis=-1)
+            assert_bitwise(twist.value(t, grid), f)
+            assert_bitwise(twist.dt(t, grid), dtf)
+            assert_bitwise(twist.fiber_partials(t, grid), partials)
+            for actual, expected in zip(twist.evaluate(t, grid), (f, dtf, partials)):
+                assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("family", ["separable", "additive"])
+    def test_factor_is_cached_read_only(self, family):
+        grid = unit_torus(2, 16)
+        s = ripple(grid, phase=0.3)
+        twist = TwistedFunction(family, g=TimeProfile("gauss"), eps=0.1, s=s, q=TimeProfile("cosh"))
+        a = twist._fiber_factor(grid)
+        eps_s = 0.1 * s.value(*grid.coords)
+        assert_bitwise(a, 1.0 + eps_s if family == "separable" else eps_s)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        assert twist._fiber_factor(grid) is a
+        # an equal twist built separately shares the factor; a refined grid does not
+        twin = TwistedFunction(family, g=TimeProfile("exp"), eps=0.1, s=s, q=TimeProfile("gauss"))
+        assert twin._fiber_factor(grid) is a
+        assert twist._fiber_factor(grid.refined()).shape == (32, 32)
+
+    def test_signed_zero_eps_keeps_its_own_factor(self):
+        grid = unit_torus(1, 16)
+        s = ripple(grid)
+        factors = [
+            TwistedFunction("additive", g=TimeProfile("gauss"), eps=eps, s=s,
+                            q=TimeProfile("cosh"))._fiber_factor(grid)
+            for eps in (0.0, -0.0)
+        ]
+        assert_bitwise(factors[0], 0.0 * s.value(*grid.coords))
+        assert_bitwise(factors[1], -0.0 * s.value(*grid.coords))
 
 
 class TestExactDerivatives:

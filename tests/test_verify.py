@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twistbench import FiberGrid, conformal, default_model, graphs, verify
+from twistbench import FiberGrid, TwistedFunction, conformal, default_model, graphs, verify
 from twistbench.verify import (
     DEFAULT_THRESHOLDS,
     IDENTITY_KINDS,
@@ -128,8 +128,9 @@ class TestVerifyPathCounts:
 
     def test_ceilings(self, monkeypatch):
         calls = dict.fromkeys(
-            ("det", "solve", "static_laplacian_check", "coordinate_laplacian"), 0
+            ("det", "solve", "static_laplacian_check", "coordinate_laplacian", "value"), 0
         )
+        self.counting(monkeypatch, TwistedFunction, "value", calls)
         self.counting(monkeypatch, np.linalg, "det", calls)
         self.counting(monkeypatch, np.linalg, "solve", calls)
         self.counting(monkeypatch, verify, "static_laplacian_check", calls)
@@ -142,8 +143,13 @@ class TestVerifyPathCounts:
         assert all(r["pass"] for r in rows)
         assert calls["static_laplacian_check"] == 5      # once per corpus graph
         suite_laplacians = calls["coordinate_laplacian"]
+        suite_values = calls["value"]
         run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
         assert calls["det"] == 0 and calls["solve"] == 0
+        # the refined models check positivity on their fiber factors, and the
+        # kits evaluate f with the partials: 100 value calls when each model
+        # build swept the twist over the fiber
+        assert calls["value"] == suite_values
         # measured: 55 in the suite (5 mean-curvature and 5 laplacian_tau
         # two-paths, 5 x 4 conformal factors x 2 sides, 5 static checks)
         # and 3 in the study; 68 when each static identity ran its own check
