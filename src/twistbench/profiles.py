@@ -126,10 +126,21 @@ class TrigPolynomial:
                 ang = ang + (2.0 * np.pi * k / L) * x
         return ang
 
+    def _scaled_mode(self, trig, scale, coords, wavevec, phase):
+        """scale * trig(angles) of one mode.  ``_angles`` returns a fresh
+        array whenever a wavenumber is nonzero, so trig and scale then
+        overwrite it; a scalar phase is scaled as a scalar."""
+        ang = self._angles(coords, wavevec, phase)
+        if not isinstance(ang, np.ndarray):
+            return scale * trig(ang)
+        trig(ang, out=ang)
+        ang *= scale
+        return ang
+
     def value(self, *coords):
         out = np.zeros(np.broadcast(*coords).shape)
         for coeff, wavevec, phase in self.modes:
-            out += coeff * np.cos(self._angles(coords, wavevec, phase))
+            out += self._scaled_mode(np.cos, coeff, coords, wavevec, phase)
         return out
 
     def partial(self, axis, *coords):
@@ -137,9 +148,6 @@ class TrigPolynomial:
         for coeff, wavevec, phase in self.modes:
             k = wavevec[axis]
             if k:
-                out -= (
-                    coeff
-                    * (2.0 * np.pi * k / self.periods[axis])
-                    * np.sin(self._angles(coords, wavevec, phase))
-                )
+                scale = coeff * (2.0 * np.pi * k / self.periods[axis])
+                out -= self._scaled_mode(np.sin, scale, coords, wavevec, phase)
         return out

@@ -36,6 +36,7 @@ hands over to the relaxation fallback, which alone moves them.
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,16 +145,10 @@ def certificate_check(model, h0, t_samples=256):
     d/dt log f at the extrema of its height, so H0 outside the sampled
     [inf, sup] of d/dt log f over interval x fiber excludes solutions.  The
     bounds cover the configured interval only; the certificate says so.
+    The bounds are the model's ``dlog_dt_range``, computed once per model
+    and sample count; each call compares its own h0 against them.
     """
-    grid = model.fiber
-    lo = np.inf
-    hi = -np.inf
-    for block in model.time_blocks(t_samples):
-        vals = model.twist.dlog_dt(block, grid)
-        # fmin/fmax skip NaNs (from an overflowed twist); a plain min would
-        # return NaN and drop every time of the block from the bounds
-        lo = min(lo, float(np.fmin.reduce(vals, axis=None)))
-        hi = max(hi, float(np.fmax.reduce(vals, axis=None)))
+    lo, hi = model.dlog_dt_range(t_samples)
     if h0 < lo or h0 > hi:
         return {
             "reason": "bound",
@@ -255,12 +250,16 @@ class _Driver:
         return None
 
 
+@functools.lru_cache(maxsize=8)
 def _lattice_ball(dim, radius):
-    """Integer offsets of L1 length at most ``radius``, shape (K, dim)."""
+    """Integer offsets of L1 length at most ``radius``, shape (K, dim),
+    computed once and kept read-only."""
     span = range(-radius, radius + 1)
-    return np.array(
+    offsets = np.array(
         [o for o in itertools.product(span, repeat=dim) if sum(map(abs, o)) <= radius]
     )
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _periodic_neighbours(shape, radius, nodes=None):
@@ -283,6 +282,22 @@ def _jacobian_pattern(shape):
     rows = _periodic_neighbours(shape, _RESIDUAL_REACH)
     rows.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_layout(shape):
+    """What ``_jacobian`` reads of ``shape`` alone, kept read-only:
+    (index, gather).  ``index`` maps an offset tuple to its position k in
+    ``_lattice_ball(dim, _RESIDUAL_REACH)``.  ``gather`` holds flat indices
+    into a (K, nodes) array: entry [j, k] picks row k' at node j +
+    offsets[k], where offsets[k'] = -offsets[k]."""
+    rows = _jacobian_pattern(shape)
+    offsets = _lattice_ball(len(shape), _RESIDUAL_REACH)
+    index = {o: k for k, o in enumerate(map(tuple, offsets))}
+    opposite = np.array([index[tuple(-o)] for o in offsets])
+    gather = opposite * len(rows) + rows
+    gather.flags.writeable = False
+    return types.MappingProxyType(index), gather
 
 
 @functools.lru_cache(maxsize=8)
@@ -389,8 +404,7 @@ def _jacobian(driver, u):
     dF = dF.reshape(n + 1, u.size, n)
     dP = dP.reshape(n + 1, u.size)
     rows = _jacobian_pattern(u.shape)
-    offsets = _lattice_ball(n, _RESIDUAL_REACH)
-    index = {o: k for k, o in enumerate(map(tuple, offsets))}
+    index, gather = _jacobian_layout(u.shape)
     unit = np.eye(n, dtype=int)
     half = 0.5 / grid.spacing  # D_l u = half[l] (u(x + e_l) - u(x - e_l))
 
@@ -402,7 +416,7 @@ def _jacobian(driver, u):
             yield -unit[l], -half[l] * d[1 + l]
 
     # rowwise[k, x]: the derivative of R at node x in u at node x + offsets[k]
-    rowwise = np.zeros((len(offsets), u.size))
+    rowwise = np.zeros((len(index), u.size))
     for offset, coefficient in stencil(dP):
         rowwise[index[tuple(offset)]] += coefficient
     sqrt_det = grid.sqrt_det.ravel()
@@ -414,10 +428,11 @@ def _jacobian(driver, u):
             for offset, coefficient in stencil(dF[..., i]):
                 rowwise[index[tuple(out + offset)]] += weight * coefficient[ahead]
     # column j holds R at node j + offsets[k], read at the opposite offset
-    values = rowwise[[index[tuple(-o)] for o in offsets], rows]
+    values = rowwise.take(gather)
     indptr = np.arange(0, rows.size + 1, rows.shape[1])
-    # J owns a copy of its data: canonicalising J in place (abs(J),
-    # sort_indices) would otherwise permute the stencil values as well
+    # J owns copies of its data and indices: canonicalising J in place
+    # (abs(J), sort_indices) would otherwise permute the stencil values and
+    # write into the cached rows as well
     J = csc_array((values.flatten(), rows.flatten(), indptr), shape=(u.size, u.size))
     return J, values
 

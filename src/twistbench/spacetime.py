@@ -8,7 +8,7 @@ only, the model degenerates to a warped (GRW) product; the ``is_grw``
 predicate and the torqued one-form detect that situation numerically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,19 +182,26 @@ class TwistedFunction:
         return np.sqrt(component_sum(partials * partials / grid.metric_diag))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpacetimeModel:
-    """Twisted product of an open interval with a torus fiber."""
+    """Twisted product of an open interval with a torus fiber.
+
+    A model is frozen: what depends on it alone, such as the sampled range
+    of d/dt log f and its ``classify`` result, is computed on first use and
+    kept with it.  Its fiber and twist are taken as fixed too.
+    """
 
     interval: tuple
     fiber: object
     twist: TwistedFunction
+    # results kept by ``_kept``; dataclasses.replace gives the new model its own
+    _results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t_min, t_max = (float(v) for v in self.interval)
         if not t_min < t_max:
             raise ValueError("interval must satisfy t_min < t_max")
-        self.interval = (t_min, t_max)
+        object.__setattr__(self, "interval", (t_min, t_max))
         if self.twist.family == "traveling":
             ratio = self.fiber.periods[0] / self.twist.period
             if abs(ratio - round(ratio)) > 1e-12 or round(ratio) < 1:
@@ -238,6 +245,32 @@ class SpacetimeModel:
             (block.ravel(), twist.value(block, grid).reshape(len(block), -1))
             for block in self.time_blocks(t_samples)
         )
+
+    def _kept(self, key, compute):
+        """``compute()``, computed on the first call with ``key`` and kept:
+        it must depend on the model alone.  A call that raises keeps
+        nothing."""
+        try:
+            return self._results[key]
+        except KeyError:
+            result = self._results[key] = compute()
+            return result
+
+    def dlog_dt_range(self, t_samples):
+        """(inf, sup) of d/dt log f over the ``time_samples(t_samples)``
+        lattice times the fiber, computed once per count.  NaN samples (from
+        an overflowed twist) are skipped."""
+        def sweep():
+            lo, hi = np.inf, -np.inf
+            for block in self.time_blocks(t_samples):
+                vals = self.twist.dlog_dt(block, self.fiber)
+                # fmin/fmax skip NaNs; a plain min would return NaN and drop
+                # every time of the block from the bounds
+                lo = min(lo, float(np.fmin.reduce(vals, axis=None)))
+                hi = max(hi, float(np.fmax.reduce(vals, axis=None)))
+            return lo, hi
+
+        return self._kept(("dlog_dt_range", t_samples), sweep)
 
     def time_samples(self, count):
         """Midpoint lattice over the open interval (endpoints excluded)."""
@@ -294,9 +327,17 @@ def classify(model, t_samples=64):
     transition verdict needs a single +/- sign change at the same time for
     every fiber node; the change point is located by bisection to 1e-10.
     Spatially varying change points are reported as mixed.
+
+    The verdict is computed once per model and sample count; each call
+    returns its own copy of it.
     """
     if t_samples < 16:
         raise ValueError("t_samples must be at least 16")
+    kept = model._kept(("classify", t_samples), lambda: _classify(model, t_samples))
+    return replace(kept, evidence=dict(kept.evidence))
+
+
+def _classify(model, t_samples):
     grid = model.fiber
     times = model.time_samples(t_samples)
     # signs accumulate block by block; per node, one more than the last

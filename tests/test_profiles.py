@@ -83,6 +83,48 @@ class TestOpenAxes:
             assert_bitwise(poly.partial(axis, *grid.open_coords), np.zeros(grid.shape))
 
 
+def allocating_value(poly, coords):
+    """``value`` with a fresh product per mode on the angles of ``_angles``."""
+    out = np.zeros(np.broadcast(*coords).shape)
+    for coeff, wavevec, phase in poly.modes:
+        out += coeff * np.cos(poly._angles(coords, wavevec, phase))
+    return out
+
+
+def allocating_partial(poly, axis, coords):
+    out = np.zeros(np.broadcast(*coords).shape)
+    for coeff, wavevec, phase in poly.modes:
+        k = wavevec[axis]
+        if k:
+            out -= (coeff * (2.0 * np.pi * k / poly.periods[axis])
+                    * np.sin(poly._angles(coords, wavevec, phase)))
+    return out
+
+
+class TestInPlaceModes:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["open", "full", "scalar", "zero-d"])
+    def test_bitwise_the_allocating_formula(self, dim, kind):
+        # the modes' angles come back as open broadcast shapes, full
+        # arrays, the scalar phase of the all-zero wavevector, or numpy
+        # scalars; trig and coefficient overwrite only fresh arrays
+        grid = mixed_grid(dim)
+        poly = mixed_profile(grid)
+        coords = {
+            "open": grid.open_coords,
+            "full": grid.coords,
+            "scalar": tuple(0.1 + 0.2 * i for i in range(dim)),
+            "zero-d": tuple(np.array(0.1 + 0.2 * i) for i in range(dim)),
+        }[kind]
+        before = [np.copy(x) for x in coords]
+        assert_bitwise(np.asarray(poly.value(*coords)), np.asarray(allocating_value(poly, coords)))
+        for axis in range(dim):
+            assert_bitwise(np.asarray(poly.partial(axis, *coords)),
+                           np.asarray(allocating_partial(poly, axis, coords)))
+        for x, saved in zip(coords, before):
+            assert_bitwise(np.asarray(x), saved)
+
+
 class TestFromSpecs:
     @pytest.mark.parametrize(
         "wavevec", [[1.5], [True], [np.True_], np.array([False]), [float("nan")], ["1"]]

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -381,6 +382,37 @@ class TestJacobian:
         assert np.array_equal(values, before)
         assert np.array_equal(preconditioned(), Mx)
         assert np.allclose(J @ x, Jx, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(9,), (10, 12), (8, 8, 8)])
+    def test_layout_is_kept_read_only(self, shape):
+        # the cached gather reads, for column j and offset k, the row of the
+        # opposite offset at node j + offset k
+        rows = solver_mod._jacobian_pattern(shape)
+        offsets = solver_mod._lattice_ball(len(shape), solver_mod._RESIDUAL_REACH)
+        index, gather = solver_mod._jacobian_layout(shape)
+        assert solver_mod._jacobian_layout(shape)[1] is gather
+        assert dict(index) == {tuple(o): k for k, o in enumerate(offsets)}
+        rowwise = np.random.default_rng(0).standard_normal((len(offsets), rows.shape[0]))
+        opposite = [index[tuple(-o)] for o in offsets]
+        assert np.array_equal(rowwise.take(gather), rowwise[opposite, rows])
+        for array in (rows, offsets, gather):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError):
+            index[(0,) * len(shape)] = 1
+
+    def test_canonicalising_J_leaves_the_next_J(self):
+        # J owns its indices too: sorting them in place must not reach the
+        # cached rows that the next Jacobian is built from
+        model = default_model(2, resolution=16, twist="separable_gauss")
+        u = random_trig_graph(model, seed=3, amplitude=0.05).u
+        driver = solver_mod._Driver(model, SolveConfig(target=0.0))
+        J, values = solver_mod._jacobian(driver, u)
+        expected = (J.data.copy(), J.indices.copy(), J.indptr.copy(), values.copy())
+        J.sort_indices()
+        J.sum_duplicates()
+        again, values = solver_mod._jacobian(driver, u)
+        for actual, saved in zip((again.data, again.indices, again.indptr, values), expected):
+            assert actual.tobytes() == saved.tobytes()
 
     @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
     @pytest.mark.parametrize("target", [0.0, "generalized"])
@@ -880,3 +912,110 @@ class TestRigidityReport:
         assert cmc.tag == "converged"
         with pytest.raises(DomainError):
             rigidity_report(cmc)
+
+
+def maximal_2d_model():
+    """The benchmark's maximal-2d model: separable_gauss on 64^2 over (-1.5, 1.5)."""
+    return default_model(2, resolution=64, twist="separable_gauss", interval=(-1.5, 1.5))
+
+
+def refuse_1d_model():
+    return default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+
+
+def outcome_record(outcome):
+    """Every reported field of an outcome, floats by their repr."""
+    return json.dumps(
+        {
+            "tag": outcome.tag,
+            "certificate": outcome.certificate,
+            "log": outcome.log,
+            "diagnostics": outcome.diagnostics,
+            "residual_norm": outcome.residual_norm,
+            "iterations": outcome.iterations,
+            "u": None if outcome.graph is None else outcome.graph.u.tobytes().hex(),
+        },
+        sort_keys=True,
+    )
+
+
+class TestKeptModelChecks:
+    """The certificate bounds and the classify verdict are computed once per
+    model; later solves and reports reuse them."""
+
+    def test_second_solve_sweeps_no_twist(self, monkeypatch):
+        logs = count_calls(monkeypatch, TwistedFunction, "dlog_dt")
+        for model, target in ((transition_model(), 0.0), (refuse_1d_model(), -0.5)):
+            cfg = SolveConfig(target=target, initial={"kind": "constant", "value": 0.1})
+            logs.clear()
+            solve(model, cfg)
+            assert len(logs) == 1  # 256 samples on 128 nodes: one block
+            logs.clear()
+            solve(model, cfg)
+            assert logs == []
+
+    def test_second_rigidity_report_reads_one_rate(self, monkeypatch):
+        model = transition_model()
+        cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
+        outcomes = [solve(model, cfg) for _ in range(2)]
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        first = rigidity_report(outcomes[0])
+        assert len(rates) > 2  # d/dt f at the mean height, and classify's sweep
+        rates.clear()
+        assert rigidity_report(outcomes[1]) == first
+        assert len(rates) == 1  # d/dt f at the mean height only
+
+    def test_callers_cannot_change_a_kept_certificate(self):
+        model = refuse_1d_model()
+        first = certificate_check(model, -5.0)
+        expected = copy.deepcopy(first)
+        first["inf_dlog_f"] = -99.0
+        first["interval"].append(3.0)
+        second = certificate_check(model, -5.0)
+        assert second == expected
+        assert certificate_check(model, 7.0)["target"] == 7.0
+        assert certificate_check(model, 1.0) is None
+
+    def test_results_equal_those_of_a_fresh_model(self):
+        # two ops on one model, each against the same calls on a model
+        # built for it alone
+        starts = [{"kind": "random_trig", "seed": seed, "amplitude": 0.1} for seed in (7, 8)]
+        kept = maximal_2d_model()
+        for initial in starts:
+            results = []
+            for model in (kept, maximal_2d_model()):
+                outcome = solve(model, SolveConfig(target=0.0, initial=initial))
+                assert outcome.tag == "converged"
+                results.append((outcome_record(outcome), rigidity_report(outcome)))
+            assert results[0] == results[1]
+        kept = refuse_1d_model()
+        for initial in starts:
+            results = []
+            for model in (kept, refuse_1d_model()):
+                bound = solve(model, SolveConfig(target=0.0, initial=initial))
+                drift = solve(model, SolveConfig(target=0.0, initial=initial,
+                                                 check_certificate=False))
+                assert (bound.certificate["reason"], drift.certificate["reason"]) == (
+                    "bound", "drift")
+                results.append((outcome_record(bound), outcome_record(drift)))
+            assert results[0] == results[1]
+
+    def test_maximal_2d_ops_pin_the_sampled_check_calls(self, monkeypatch):
+        # per op: d/dt log f calls of the certificate (256 samples in blocks
+        # of 16 times on 64^2) and d/dt f calls of rigidity_report (its own
+        # at the mean height, then classify's 4 sampling blocks and 29
+        # bisection passes); the second op reuses both
+        model = maximal_2d_model()
+        logs = count_calls(monkeypatch, TwistedFunction, "dlog_dt")
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        calls = []
+        for seed in (7, 8):
+            cfg = SolveConfig(target=0.0,
+                              initial={"kind": "random_trig", "seed": seed, "amplitude": 0.1})
+            logs.clear()
+            outcome = solve(model, cfg)
+            assert outcome.tag == "converged"
+            rates.clear()
+            rigidity_report(outcome)
+            calls.append((len(logs), len(rates)))
+        assert calls == [(16, 1 + 4 + 29), (0, 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from twistbench import (
     DomainError,
+    ExpansionClass,
     SpacetimeModel,
     TimeProfile,
     TrigPolynomial,
@@ -645,3 +647,90 @@ class TestModelValidation:
                 grid,
                 TwistedFunction("pure_time", g=TimeProfile("gauss")),
             )
+
+
+class TestKeptResults:
+    """Results that depend on the model alone are computed on first use per
+    sample count and kept with the frozen model."""
+
+    def test_model_is_frozen(self):
+        model = default_model(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.interval = (-1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.twist = TwistedFunction("pure_time", g=TimeProfile("gauss"))
+        assert model.interval == (-1.5, 1.5)
+
+    def test_classify_is_computed_once_per_sample_count(self, monkeypatch):
+        model = default_model(1, twist="separable_gauss")
+        expected = {count: per_time_result(model, count) for count in (64, 37)}
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        for count in (64, 37):
+            rates.clear()
+            assert classify(model, t_samples=count) == expected[count]
+            # one sampling block and the bisection of a transition
+            assert len(rates) > 1
+            rates.clear()
+            assert classify(model, t_samples=count) == expected[count]
+            assert rates == []
+        assert classify(model) == expected[64]
+        assert rates == []
+
+    def test_a_fresh_model_recomputes(self, monkeypatch):
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        logs = count_calls(monkeypatch, TwistedFunction, "dlog_dt")
+        kept = default_model(1, twist="separable_exp")
+        classify(kept)
+        kept.dlog_dt_range(256)
+        fresh = default_model(1, twist="separable_exp")
+        rates.clear()
+        logs.clear()
+        assert classify(fresh) == classify(kept)
+        assert fresh.dlog_dt_range(256) == kept.dlog_dt_range(256)
+        # 128 nodes: one sampling block each; dlog_dt calls dt once
+        assert (len(rates), len(logs)) == (2, 1)
+        # dataclasses.replace builds a new model, which keeps its own results
+        kept = default_model(1, twist="separable_gauss")
+        wide = kept.dlog_dt_range(256)
+        narrow = dataclasses.replace(kept, interval=(-1.0, 1.0))
+        expected = per_time_certificate_bounds(narrow, 256)
+        logs.clear()
+        assert narrow.dlog_dt_range(256) == expected != wide
+        assert len(logs) == 1
+
+    def test_dlog_dt_range_is_kept_per_sample_count(self, monkeypatch):
+        logs = count_calls(monkeypatch, TwistedFunction, "dlog_dt")
+        model = SWEEP_MODELS["additive-2d"]
+        for count in (37, 256):
+            expected = per_time_certificate_bounds(model, count)
+            logs.clear()
+            first = model.dlog_dt_range(count)
+            again = model.dlog_dt_range(count)
+            assert [v.hex() for v in first] == [v.hex() for v in expected]
+            assert again == first
+            assert len(logs) <= -(-count // 16)  # none for the second call
+
+    def test_callers_cannot_change_a_kept_verdict(self):
+        model = default_model(1, twist="separable_gauss")
+        first = classify(model)
+        expected = (first.tag, first.t0, dict(first.evidence))
+        first.evidence["min_dt"] = 99.0
+        first.evidence.clear()
+        first.tag, first.t0 = "expanding", None
+        second = classify(model)
+        assert second is not first and second.evidence is not first.evidence
+        assert (second.tag, second.t0, second.evidence) == expected
+
+    def test_failed_calls_keep_nothing(self):
+        model = default_model(1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="t_samples must be at least 16"):
+                classify(model, t_samples=8)
+            with pytest.raises(ValueError, match="time sample count must be at least 1"):
+                model.dlog_dt_range(0)
+
+
+def per_time_result(model, t_samples):
+    """``per_time_classify`` as an ExpansionClass."""
+    tag, t0, evidence = per_time_classify(model, t_samples)
+    return ExpansionClass(tag, t0=t0, evidence=evidence)
