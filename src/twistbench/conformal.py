@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .fiber_grid import component_array, component_sum
 from .graphs import (
+    _coordinate_laplacian,
     _kit,
     _laplacian_tau_fiber,
     _mean_curvature,
@@ -173,10 +174,9 @@ def conformal_laplacian_check(h, phi, graph):
     g2 = np.exp(2.0 * phi_vals)[..., None, None] * g1
     lhs = coordinate_laplacian(grid, g2, h)
 
-    lap1 = coordinate_laplacian(grid, g1, h)
-    dphi = grid.partials(phi_vals)
-    dh = grid.partials(h)
-    pairing = component_sum(dphi * _small_solve(g1, dh, _small_det(g1)))
+    # lap h and g^{-1}(d phi, d h) share one solve of g1 x = d h
+    lap1, grad_h = _coordinate_laplacian(grid, g1, h)
+    pairing = component_sum(grid.partials(phi_vals) * grad_h)
     rhs = np.exp(-2.0 * phi_vals) * (lap1 + (grid.dim - 2) * pairing)
     return ConformalCheck(lhs=lhs, rhs=rhs)
 

@@ -76,8 +76,14 @@ class GraphField:
 class _Kit:
     """Shared per-graph quantities; one stencil pass feeding every operation.
 
-    What a residual reads is computed on construction; the margin, the boost
-    and the mean curvature are computed on first use and then kept.
+    Construction computes f, the gradient of u, the spacelike support and
+    rho, which every operation reads.  Everything else is computed on first
+    read and then kept: the margin, the boost, the mean curvature and the
+    twist's derivatives along the graph.  d/dt f is one more twist pass;
+    the fiber partials of f reuse the time profiles f was combined from,
+    which the kit keeps until then.  Operations that need only f (the
+    induced metric, the boost, the time-height Laplacian) never pay for
+    either.
 
     The kit reads the heights ``u`` and, unless ``du`` gives it, their
     covector D_i u.  A given covector makes the kit pointwise: every
@@ -92,8 +98,9 @@ class _Kit:
         self.grid = grid
         self.n = grid.dim
         self.u = u
-        self.f, self.dtf, self.fiber_df = model.twist.evaluate(u, grid)
-        self.dlogf = self.dtf / self.f
+        self.twist = model.twist
+        # the order-0 time profiles of f, kept for fiber_df
+        self.f, self._profiles = self.twist.value_and_profiles(u, grid)
 
         self.du = grid.partials(u) if du is None else du  # covector D_i u
         self.grad_u = self.du / grid.metric_diag         # contravariant
@@ -115,6 +122,23 @@ class _Kit:
 
         with np.errstate(invalid="ignore", divide="ignore"):
             self.rho = 1.0 / (self.f * np.sqrt(self.support))
+
+    @cached_property
+    def dtf(self):
+        """d/dt f along the graph."""
+        return self.twist.dt(self.u, self.grid)
+
+    @cached_property
+    def dlogf(self):
+        """d/dt log f along the graph."""
+        return self.dtf / self.f
+
+    @cached_property
+    def fiber_df(self):
+        """Exact fiber partials of f along the graph, from the profiles of f."""
+        partials = self.twist.partials_from_profiles(self.u, self.grid, self._profiles)
+        del self._profiles
+        return partials
 
     @cached_property
     def mu(self):
@@ -318,6 +342,12 @@ def coordinate_laplacian(grid, metric, phi):
     adjugate of each node's matrix, a generic inverse that reads nothing but
     ``metric``.
     """
+    return _coordinate_laplacian(grid, metric, phi)[0]
+
+
+def _coordinate_laplacian(grid, metric, phi):
+    """(``coordinate_laplacian``, the metric gradient g^{-1} d phi it takes
+    the divergence of), for a caller that pairs the gradient as well."""
     det = _small_det(metric)
     if np.any(det <= 0.0):
         raise ValueError("metric must be positive definite for the coordinate Laplacian")
@@ -326,7 +356,7 @@ def coordinate_laplacian(grid, metric, phi):
     out = np.zeros(grid.shape)
     for i in range(grid.dim):
         out += grid.diff(sq * X[..., i], axis=i)
-    return out / sq
+    return out / sq, X
 
 
 def laplacian_tau_fiber(graph):

@@ -62,25 +62,34 @@ class TwistedFunction:
     ``TrigPolynomial``.  All evaluators take a time argument (scalar or an
     array broadcastable against the grid shape) and the fiber grid, and
     return node arrays.
+
+    A twist is immutable: assigning or deleting an attribute after
+    ``__init__`` raises, so a model built on it, and anything computed from
+    it, stays consistent with it.
     """
 
     def __init__(self, family, g=None, eps=0.0, s=None, q=None, amp=0.0, period=1.0):
         if family not in TWIST_FAMILIES:
             raise ValueError(f"unknown twist family {family!r}")
-        self.family = family
-        self.g = g
-        self.q = q
-        self.s = s
-        self.eps = float(eps)
-        self.amp = float(amp)
-        self.period = float(period)
+        fields = {
+            "family": family, "g": g, "q": q, "s": s,
+            "eps": float(eps), "amp": float(amp), "period": float(period),
+        }
         for name, what in TWIST_FAMILIES[family].items():
-            if what is not None and getattr(self, name) is None:
+            if what is not None and fields[name] is None:
                 raise ValueError(f"family {family!r} needs {what}")
         if family == "traveling" and not abs(amp) < 1.0:
             raise ValueError("traveling twist needs |amp| < 1")
-        if family == "traveling" and not self.period > 0.0:
+        if family == "traveling" and not fields["period"] > 0.0:
             raise ValueError("traveling twist needs period > 0")
+        # set past __setattr__, which refuses every later assignment
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TwistedFunction is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TwistedFunction is immutable: cannot delete {name!r}")
 
     def _traveling_phase(self, t, grid):
         if grid.dim != 1:
@@ -161,15 +170,29 @@ class TwistedFunction:
             return self._partials(t, grid, None, None)
         return self._partials(t, grid, *self._profiles(t, 0))
 
+    def value_and_profiles(self, t, grid):
+        """(f, profiles) at (t, x): f bitwise ``value``, and the order-0 time
+        profiles (g, q) it was combined from, for ``partials_from_profiles``
+        at the same t (None for a traveling twist, which has no profiles)."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "traveling":
+            return self.value(t, grid), None
+        g, q = self._profiles(t, 0)
+        return self._combine(t, grid, g, q), (g, q)
+
+    def partials_from_profiles(self, t, grid, profiles):
+        """``fiber_partials`` at t, bitwise, from the ``profiles`` that
+        ``value_and_profiles`` returned at the same t."""
+        if profiles is None:
+            return self.fiber_partials(t, grid)
+        return self._partials(t, grid, *profiles)
+
     def evaluate(self, t, grid):
         """(f, d/dt f, fiber partials) at (t, x), bitwise ``value``, ``dt`` and
         ``fiber_partials``; f and the partials share one evaluation of the
         time profiles."""
-        t = np.asarray(t, dtype=float)
-        if self.family == "traveling":
-            return self.value(t, grid), self.dt(t, grid), self.fiber_partials(t, grid)
-        g, q = self._profiles(t, 0)
-        return self._combine(t, grid, g, q), self.dt(t, grid), self._partials(t, grid, g, q)
+        f, profiles = self.value_and_profiles(t, grid)
+        return f, self.dt(t, grid), self.partials_from_profiles(t, grid, profiles)
 
     # -- conveniences -------------------------------------------------------
 
@@ -188,7 +211,7 @@ class SpacetimeModel:
 
     A model is frozen: what depends on it alone, such as the sampled range
     of d/dt log f and its ``classify`` result, is computed on first use and
-    kept with it.  Its fiber and twist are taken as fixed too.
+    kept with it.  Its twist is immutable; its fiber is taken as fixed.
     """
 
     interval: tuple

@@ -17,7 +17,10 @@ from twistbench import (
     transform_mean_curvature,
 )
 
-from conftest import random_trig_field, ripple
+from twistbench.fiber_grid import component_sum
+from twistbench.graphs import _kit, _small_det, _small_solve, coordinate_laplacian
+
+from conftest import assert_bitwise, random_trig_field, ripple
 
 
 class TestTransformMeanCurvature:
@@ -106,6 +109,28 @@ class TestConformalLaplacian:
                 max(conformal_laplacian_check(h, phi, graph).max_defect for phi in catalog(model))
             )
         assert np.log2(worst[-2] / worst[-1]) >= 1.9
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_bitwise_two_separate_solves(self, dim, m, curved):
+        # reference: the unrescaled Laplacian and the pairing, each with its
+        # own determinant and solve of g1 x = dh
+        model = default_model(dim, resolution=m, twist="separable_gauss", curved=curved)
+        graph = random_trig_graph(model, seed=9, amplitude=0.05)
+        grid = model.fiber
+        h = random_trig_field(grid, seed=10)
+        g1 = _kit(graph).metric()
+        for phi in catalog(model):
+            phi_vals = phi.value(graph.u, grid)
+            g2 = np.exp(2.0 * phi_vals)[..., None, None] * g1
+            x = _small_solve(g1, grid.partials(h), _small_det(g1))
+            pairing = component_sum(grid.partials(phi_vals) * x)
+            rhs = np.exp(-2.0 * phi_vals) * (
+                coordinate_laplacian(grid, g1, h) + (dim - 2) * pairing
+            )
+            check = conformal_laplacian_check(h, phi, graph)
+            assert_bitwise(check.lhs, coordinate_laplacian(grid, g2, h))
+            assert_bitwise(check.rhs, rhs)
 
 
 class TestStaticPicture:

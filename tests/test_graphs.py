@@ -30,6 +30,7 @@ from twistbench import (
     warped_obstruction,
 )
 from twistbench.graphs import (
+    _Kit,
     _kit,
     _laplacian_tau_fiber,
     _mean_curvature,
@@ -40,6 +41,7 @@ from twistbench.graphs import (
 
 from conftest import (
     assert_bitwise,
+    count_calls,
     flat_grw_model,
     is_component_major,
     random_trig_field,
@@ -393,6 +395,55 @@ class TestBitwiseMeanCurvature:
         assert_bitwise(_mean_curvature(kit), expected)
         assert_bitwise(kit.H, expected)
         assert_bitwise(mean_curvature(graph), expected)
+
+
+STANDARD_TWISTS = ("grw_exp", "grw_gauss", "separable_gauss", "separable_exp", "additive")
+
+
+def deferred_kit(dim, twist, curved, form):
+    """A kit on a small spacelike graph, in the graph form or the pointwise
+    form (a given covector du, as the solver's linearization builds)."""
+    model = default_model(dim, resolution=8, twist=twist, curved=curved)
+    u = random_trig_graph(model, seed=dim, amplitude=0.05).u
+    du = None if form == "graph" else 0.5 * model.fiber.partials(u)
+    return model, _Kit(model, u, du, require_spacelike=False)
+
+
+class TestDeferredTwistFields:
+    """A kit computes d/dt f, d/dt log f and the fiber partials of f on first
+    read, bitwise what ``evaluate`` gives, and only for the kits that read
+    them."""
+
+    @pytest.mark.parametrize("form", ["graph", "pointwise"])
+    @pytest.mark.parametrize("curved", [False, True])
+    @pytest.mark.parametrize(
+        "twist, dim",
+        [(t, d) for t in STANDARD_TWISTS for d in (1, 2, 3)] + [("traveling", 1)],
+    )
+    def test_bitwise_evaluate(self, twist, dim, curved, form):
+        model, kit = deferred_kit(dim, twist, curved, form)
+        f, dtf, partials = model.twist.evaluate(kit.u, model.fiber)
+        assert not {"dtf", "dlogf", "fiber_df"} & set(vars(kit))
+        assert_bitwise(kit.f, f)
+        assert_bitwise(kit.fiber_df, partials)
+        assert "_profiles" not in vars(kit)  # dropped once the partials exist
+        assert_bitwise(kit.dlogf, dtf / f)
+        assert_bitwise(kit.dtf, dtf)
+        assert kit.fiber_df is kit.fiber_df and kit.dtf is kit.dtf
+
+    @pytest.mark.parametrize("read", ["mu", "metric", "laplacian_tau_fiber"])
+    @pytest.mark.parametrize(
+        "twist, dim", [("separable_gauss", 2), ("additive", 3), ("traveling", 1)]
+    )
+    def test_unread_fields_cost_nothing(self, monkeypatch, twist, dim, read):
+        derivs = count_calls(monkeypatch, TimeProfile, "deriv")
+        rates = count_calls(monkeypatch, TwistedFunction, "dt")
+        partials = count_calls(monkeypatch, TwistedFunction, "_partials")
+        model, kit = deferred_kit(dim, twist, False, "graph")
+        {"mu": lambda: kit.mu, "metric": kit.metric,
+         "laplacian_tau_fiber": lambda: _laplacian_tau_fiber(kit)}[read]()
+        assert (len(derivs), len(rates), len(partials)) == (0, 0, 0)
+        assert not {"dtf", "dlogf", "fiber_df"} & set(vars(kit))
 
 
 class TestUnitNormal:

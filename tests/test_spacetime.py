@@ -512,7 +512,10 @@ class TestEvaluate:
                 return _original(self, t)
 
             monkeypatch.setattr(TimeProfile, method, counted)
-        _kit(graph)
+        kit = _kit(graph)
+        # d/dt f waits for its first read
+        assert calls == {"value": 1, "deriv": 0}
+        kit.H  # reads d/dt f and the fiber partials, which reuse g
         assert calls == {"value": 1, "deriv": 1}
 
 
@@ -546,6 +549,50 @@ class TestConstructor:
         with pytest.raises(ValueError) as exc:
             TwistedFunction("traveling", amp=0.3, period=period)
         assert str(exc.value) == "traveling twist needs period > 0"
+
+
+class TestImmutableTwist:
+    """A twist refuses every assignment after ``__init__``, so neither a model
+    built on it nor a kit's deferred derivatives can go stale."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("family", "pure_time"),
+            ("g", TimeProfile("exp")),
+            ("q", TimeProfile("cosh")),
+            ("s", None),
+            ("eps", 0.5),
+            ("amp", 0.2),
+            ("period", 0.5),
+        ],
+    )
+    def test_each_field_refuses_assignment(self, field, value):
+        model = default_model(1, twist="additive")
+        twist = model.twist
+        before = getattr(twist, field)
+        with pytest.raises(AttributeError, match=f"cannot set '{field}'"):
+            setattr(twist, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete '{field}'"):
+            delattr(twist, field)
+        assert getattr(twist, field) is before
+
+    def test_no_attribute_can_be_added(self):
+        twist = default_model(1, twist="traveling").twist
+        with pytest.raises(AttributeError, match="cannot set 'phase'"):
+            twist.phase = 0.25
+        assert not hasattr(twist, "phase")
+
+    def test_a_built_model_keeps_its_checked_twist(self):
+        # eps = 0.5 makes this twist vanish near t = 0.0234, which a model
+        # refuses at build time; the kept range must stay the eps = 0.1 one
+        model = default_model(1, twist="additive")
+        kept = model.dlog_dt_range(256)
+        with pytest.raises(AttributeError):
+            model.twist.eps = 0.5
+        assert model.twist.eps == 0.1
+        fresh = default_model(1, twist="additive").dlog_dt_range(256)
+        assert model.dlog_dt_range(256) == kept == fresh
 
 
 class TestTorquedOneForm:

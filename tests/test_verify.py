@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,9 +129,11 @@ class TestVerifyPathCounts:
 
     def test_ceilings(self, monkeypatch):
         calls = dict.fromkeys(
-            ("det", "solve", "static_laplacian_check", "coordinate_laplacian", "value"), 0
+            ("det", "solve", "static_laplacian_check", "coordinate_laplacian", "value", "dt"),
+            0,
         )
         self.counting(monkeypatch, TwistedFunction, "value", calls)
+        self.counting(monkeypatch, TwistedFunction, "dt", calls)
         self.counting(monkeypatch, np.linalg, "det", calls)
         self.counting(monkeypatch, np.linalg, "solve", calls)
         self.counting(monkeypatch, verify, "static_laplacian_check", calls)
@@ -144,17 +147,36 @@ class TestVerifyPathCounts:
         assert calls["static_laplacian_check"] == 5      # once per corpus graph
         suite_laplacians = calls["coordinate_laplacian"]
         suite_values = calls["value"]
+        suite_rates = calls["dt"]
         run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
         assert calls["det"] == 0 and calls["solve"] == 0
         # the refined models check positivity on their fiber factors, and the
         # kits evaluate f with the partials: 100 value calls when each model
         # build swept the twist over the fiber
         assert calls["value"] == suite_values
-        # measured: 55 in the suite (5 mean-curvature and 5 laplacian_tau
-        # two-paths, 5 x 4 conformal factors x 2 sides, 5 static checks)
-        # and 3 in the study; 68 when each static identity ran its own check
-        assert suite_laplacians <= 55
-        assert calls["coordinate_laplacian"] <= 58
+        # kits compute d/dt f on first read: measured 35 in the suite and
+        # none in the study, 120 and 9 when every kit computed it
+        assert suite_rates <= 35
+        assert calls["dt"] == suite_rates
+        # measured: 35 in the suite (5 mean-curvature and 5 laplacian_tau
+        # two-paths, 5 x 4 rescaled sides of the conformal law, 5 static
+        # checks) and 3 in the study; 55 when the conformal law's unrescaled
+        # side took a Laplacian of its own, 68 when each static identity
+        # ran its own check
+        assert suite_laplacians <= 35
+        assert calls["coordinate_laplacian"] <= 38
+
+    def test_study_memory(self):
+        # 8^3 -> 32^3: measured 9.19 MB with deferred twist derivatives,
+        # 11.04 MB when every kit held d/dt f, d/dt log f and the partials
+        model = default_model(3, resolution=8, twist="separable_gauss")
+        tracemalloc.start()
+        try:
+            run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.6e6
 
     def test_rows_match_one_static_check_per_identity(self, monkeypatch):
         model = default_model(3, resolution=8, twist="separable_gauss", curved=True)
