@@ -6,8 +6,9 @@ the seed, the output formats, the flat fiber metric, every ``SolveConfig``
 option of a solve block and the verify and convergence defaults, and returns
 the exact dictionary that reports embed, which can be fed back to reproduce
 the run; initializer defaults stay with ``initializers``.  The schema reads
-the solve options, twist families and time-profile kinds from their single
-declarations: ``SolveConfig``, ``TWIST_FAMILIES`` and ``TIME_KINDS``.
+the solve options, twist families, time-profile kinds and identity names
+from their single declarations: ``SolveConfig``, ``TWIST_FAMILIES``,
+``TIME_KINDS`` and the identity registry of ``verify``.
 """
 
 import copy
@@ -23,6 +24,7 @@ from .errors import ConfigError
 from .fiber_grid import FiberGrid
 from .profiles import TIME_KINDS, TimeProfile, TrigPolynomial
 from .spacetime import TWIST_FAMILIES, SpacetimeModel, TwistedFunction
+from .verify import IDENTITY_KINDS
 
 __all__ = ["SCHEMA", "SolveConfig", "load_config", "resolve", "build_model"]
 
@@ -92,8 +94,14 @@ class SolveConfig:
     drift_window: int = _option(20, type="integer", minimum=2)
 
     def __post_init__(self):
-        if self.target != "generalized":
-            self.target = float(self.target)
+        target = self.target
+        if not (isinstance(target, str) and target == "generalized"):
+            # what the schema takes: a bool is no number, and a NaN or
+            # infinite target is no curvature to solve for
+            if (isinstance(target, bool) or not isinstance(target, numbers.Real)
+                    or not math.isfinite(target)):
+                raise ValueError(f"target must be 'generalized' or a finite number, got {target!r}")
+            self.target = float(target)
         for option in _SOLVE_OPTIONS:
             schema = option.metadata["schema"]
             _check_bounds(option.name, getattr(self, option.name), schema)
@@ -227,6 +235,8 @@ _INITIALIZER = {
     ]
 }
 
+_IDENTITY = {"enum": list(IDENTITY_KINDS)}
+
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -290,10 +300,11 @@ SCHEMA = {
             "properties": {
                 "corpus_count": {"type": "integer", "minimum": 1},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "identities": {"type": "array", "items": {"type": "string"}},
+                "identities": {"type": "array", "items": _IDENTITY},
                 "thresholds": {
                     "type": "object",
-                    "additionalProperties": {"type": "number"},
+                    "additionalProperties": False,
+                    "properties": {name: {"type": "number"} for name in IDENTITY_KINDS},
                 },
             },
         },
@@ -301,7 +312,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "quantities": {"type": "array", "items": {"type": "string"}},
+                "quantities": {"type": "array", "items": _IDENTITY},
                 "corpus_count": {"type": "integer", "minimum": 1},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
                 "factors": {

@@ -20,7 +20,6 @@ from .graphs import (
     _coordinate_laplacian,
     _kit,
     _laplacian_tau_fiber,
-    _mean_curvature,
     _small_det,
     _small_solve,
     coordinate_laplacian,
@@ -104,15 +103,6 @@ class ConformalFactor:
         return out
 
 
-def _normal_derivative(kit, phi):
-    """g(N, grad phi) = (d/dt phi) cosh(theta) + d_F phi (N_F), exact factors."""
-    dt_part = phi.dt(kit.u, kit.grid) * kit.cosh
-    fiber_part = component_sum(
-        phi.fiber_partials(kit.u, kit.grid) * kit.rho[..., None] * kit.grad_u
-    )
-    return dt_part + fiber_part
-
-
 def transform_mean_curvature(graph, phi):
     """Mean curvature of the graph after rescaling the ambient metric.
 
@@ -122,9 +112,18 @@ def transform_mean_curvature(graph, phi):
     |H'| <= max(f) * epsilon.
     """
     kit = _kit(graph)
-    H1 = _mean_curvature(kit)
-    phi_vals = phi.value(kit.u, kit.grid)
-    return np.exp(-phi_vals) * (H1 + _normal_derivative(kit, phi))
+    u, grid = kit.u, kit.grid
+    return _transformed_mean_curvature(
+        kit, phi.value(u, grid), phi.dt(u, grid), phi.fiber_partials(u, grid)
+    )
+
+
+def _transformed_mean_curvature(kit, phi, phi_dt, phi_partials):
+    """``transform_mean_curvature`` from a kit and phi, d/dt phi and the
+    exact fiber partials of phi along the graph; g(N, grad phi) is
+    (d/dt phi) cosh(theta) + d_F phi (N_F)."""
+    normal = phi_dt * kit.cosh + component_sum(phi_partials * kit.rho[..., None] * kit.grad_u)
+    return np.exp(-phi) * (kit.H + normal)
 
 
 def slice_shape_transform(model, t0, phi):
@@ -218,8 +217,8 @@ def static_laplacian_check(graph):
     g_tilde = (alpha * alpha)[..., None, None] * g1
     lap_tilde = coordinate_laplacian(grid, g_tilde, kit.u)
 
-    phi_static = ConformalFactor.static_picture(graph.model.twist)
-    H_tilde = transform_mean_curvature(graph, phi_static)
+    # the static picture's mean curvature, with phi = log alpha = -log f
+    H_tilde = _transformed_mean_curvature(kit, -np.log(kit.f), dlog_alpha_dt, fiber_dlog_alpha)
     normal_log_alpha = kit.f * (
         kit.cosh * dlog_alpha_dt
         + component_sum(fiber_dlog_alpha * kit.rho[..., None] * kit.grad_u)
@@ -264,7 +263,7 @@ def maximal_power_check(graph, h_tol=1e-8):
     n = grid.dim
     if n != 3:
         raise DomainError("the power rescaling check needs a 3-dimensional fiber")
-    h_max = float(np.max(np.abs(_mean_curvature(kit))))
+    h_max = float(np.max(np.abs(kit.H)))
     if h_max > h_tol:
         raise DomainError(
             f"input is not maximal: sup |H| = {h_max:.3e} exceeds {h_tol:.1e}"

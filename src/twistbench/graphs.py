@@ -79,11 +79,10 @@ class _Kit:
     Construction computes f, the gradient of u, the spacelike support and
     rho, which every operation reads.  Everything else is computed on first
     read and then kept: the margin, the boost, the mean curvature and the
-    twist's derivatives along the graph.  d/dt f is one more twist pass;
-    the fiber partials of f reuse the time profiles f was combined from,
-    which the kit keeps until then.  Operations that need only f (the
-    induced metric, the boost, the time-height Laplacian) never pay for
-    either.
+    twist's derivatives along the graph, which the kit reads from the
+    twist's evaluator along u (``TwistedFunction.along``).  Operations that
+    need only f (the induced metric, the boost, the time-height Laplacian)
+    never pay for d/dt f or the fiber partials.
 
     The kit reads the heights ``u`` and, unless ``du`` gives it, their
     covector D_i u.  A given covector makes the kit pointwise: every
@@ -98,9 +97,8 @@ class _Kit:
         self.grid = grid
         self.n = grid.dim
         self.u = u
-        self.twist = model.twist
-        # the order-0 time profiles of f, kept for fiber_df
-        self.f, self._profiles = self.twist.value_and_profiles(u, grid)
+        self._twist = model.twist.along(u, grid)  # dtf and fiber_df read it too
+        self.f = self._twist.f
 
         self.du = grid.partials(u) if du is None else du  # covector D_i u
         self.grad_u = self.du / grid.metric_diag         # contravariant
@@ -126,7 +124,7 @@ class _Kit:
     @cached_property
     def dtf(self):
         """d/dt f along the graph."""
-        return self.twist.dt(self.u, self.grid)
+        return self._twist.dt
 
     @cached_property
     def dlogf(self):
@@ -135,10 +133,8 @@ class _Kit:
 
     @cached_property
     def fiber_df(self):
-        """Exact fiber partials of f along the graph, from the profiles of f."""
-        partials = self.twist.partials_from_profiles(self.u, self.grid, self._profiles)
-        del self._profiles
-        return partials
+        """Exact fiber partials of f along the graph."""
+        return self._twist.partials
 
     @cached_property
     def mu(self):

@@ -24,28 +24,16 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-
-
-def _node_header(grid):
-    idx = [f"i{k + 1}" for k in range(grid.dim)]
-    xyz = [f"x{k + 1}" for k in range(grid.dim)]
-    return idx + xyz
+_CSV_ROWS = 4096  # rows formatted per write
 
 
 def write_field_csv(grid, field, path, name="value"):
     """One row per node: index tuple, coordinates, value; row-major order."""
     field = grid.check_scalar(field, name)
-    header = ",".join(_node_header(grid) + [name])
-    indices = grid.node_indices()
-    coords = grid.node_coordinates()
-    values = field.ravel()
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row_idx, row_xyz, v in zip(indices, coords, values):
-            cells = [str(int(i)) for i in row_idx]
-            cells += [_FLOAT_FMT % c for c in row_xyz]
-            cells.append(_FLOAT_FMT % v)
-            fh.write(",".join(cells) + "\n")
+    columns = _node_columns(grid)
+    if name in columns:
+        raise ValueError(f"field name {name!r} is taken by a node column")
+    write_table_csv({**columns, name: field.ravel()}, path)
 
 
 def read_field_csv(grid, path):
@@ -73,17 +61,18 @@ def read_field_binary(grid, path):
 
 
 def write_table_csv(columns, path):
-    """Write named 1-D columns of equal length as CSV."""
+    """Write named 1-D columns of equal length as CSV: integer columns as
+    integers, every other column with ``%.17g``."""
     names = list(columns)
     arrays = [np.asarray(columns[n]).ravel() for n in names]
+    formats = ("%d" if np.issubdtype(a.dtype, np.integer) else _FLOAT_FMT for a in arrays)
+    row = ",".join(formats) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            cells = [
-                str(int(v)) if np.issubdtype(np.asarray(v).dtype, np.integer) else _FLOAT_FMT % v
-                for v in row
-            ]
-            fh.write(",".join(cells) + "\n")
+        # a chunk of rows at a time, each formatted by one % on Python scalars
+        for start in range(0, len(arrays[0]) if arrays else 0, _CSV_ROWS):
+            cells = zip(*(a[start:start + _CSV_ROWS].tolist() for a in arrays))
+            fh.write("".join(row % cell for cell in cells))
 
 
 def write_gnuplot_data(columns, path):
@@ -116,14 +105,7 @@ def write_metadata(path, **extra):
 
 def geometry_report_table(report):
     """Columns for the per-node geometry CSV/gnuplot outputs."""
-    grid = report.graph.grid
-    columns = {}
-    indices = grid.node_indices()
-    coords = grid.node_coordinates()
-    for k in range(grid.dim):
-        columns[f"i{k + 1}"] = indices[:, k]
-    for k in range(grid.dim):
-        columns[f"x{k + 1}"] = coords[:, k]
+    columns = _node_columns(report.graph.grid)
     columns["u"] = report.graph.u.ravel()
     columns["margin"] = report.margin.ravel()
     columns["rho"] = report.rho.ravel()
@@ -131,4 +113,14 @@ def geometry_report_table(report):
     columns["mean_curvature"] = report.mean_curvature.ravel()
     columns["laplacian_tau"] = report.laplacian_tau.ravel()
     columns["obstruction_norm"] = report.obstruction_norm.ravel()
+    return columns
+
+
+def _node_columns(grid):
+    """The index columns i1.. and the coordinate columns x1.. of every node,
+    row-major."""
+    indices = grid.node_indices()
+    coords = grid.node_coordinates()
+    columns = {f"i{k + 1}": indices[:, k] for k in range(grid.dim)}
+    columns.update({f"x{k + 1}": coords[:, k] for k in range(grid.dim)})
     return columns

@@ -9,6 +9,7 @@ predicate and the torqued one-form detect that situation numerically.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .fiber_grid import component_array, component_sum
 __all__ = [
     "TWIST_FAMILIES",
     "TwistedFunction",
+    "TwistAlong",
     "SpacetimeModel",
     "ExpansionClass",
     "classify",
@@ -91,108 +93,22 @@ class TwistedFunction:
     def __delattr__(self, name):
         raise AttributeError(f"TwistedFunction is immutable: cannot delete {name!r}")
 
-    def _traveling_phase(self, t, grid):
-        if grid.dim != 1:
-            raise DomainError("traveling twist is defined on one-dimensional fibers")
-        w = 2.0 * np.pi / self.period
-        return w, w * (np.asarray(t, dtype=float) + grid.coords[0])
-
     # -- evaluators --------------------------------------------------------
 
-    def _profiles(self, t, order):
-        """Time profiles (g, q) of derivative ``order`` at t; q only for additive."""
-        g = (self.g.value, self.g.deriv)[order](t)
-        if self.family != "additive":
-            return g, None
-        return g, (self.q.value, self.q.deriv)[order](t)
-
-    def _fiber_factor(self, grid):
-        """The fiber factor a(x) of a separable (f = g a, a = 1 + eps s) or
-        additive (f = g + a q, a = eps s) twist: computed once per grid and
-        kept read-only beside the profile samples."""
-        def compute():
-            eps_s = self.eps * grid.sample(self.s)
-            return 1.0 + eps_s if self.family == "separable" else eps_s
-
-        # eps by its bits: eps = -0.0 and 0.0 give additive factors of different zeros
-        return grid.cached((self.family, self.eps.hex(), self.s), compute)
-
-    def _combine(self, t, grid, g, q, factor=None):
-        """f, or one of its time derivatives, from the profiles of that order
-        and the fiber factor (the grid's, unless ``factor`` is given)."""
-        if self.family == "pure_time":
-            return np.broadcast_to(g, np.broadcast(t, grid.coords[0]).shape).copy()
-        a = self._fiber_factor(grid) if factor is None else factor
-        # g (1 + eps s) and g + eps s q round differently: keep both forms
-        if self.family == "separable":
-            return g * a
-        return g + a * q
-
-    def _time_derivative(self, t, grid, order):
-        """d^order f / dt^order at (t, x), for order 0 or 1."""
-        t = np.asarray(t, dtype=float)
-        if self.family == "traveling":
-            w, phase = self._traveling_phase(t, grid)
-            if order:
-                return self.amp * w * np.cos(phase)
-            return 1.0 + self.amp * np.sin(phase)
-        return self._combine(t, grid, *self._profiles(t, order))
-
-    def _partials(self, t, grid, g, q):
-        """Fiber partials from the order-0 profiles g, q (unused where f has
-        no fiber dependence through them)."""
-        shape = np.broadcast(t, grid.coords[0]).shape
-        out = component_array(shape, grid.dim, zeros=True)
-        if self.family == "pure_time":
-            return out
-        if self.family == "traveling":
-            w, phase = self._traveling_phase(t, grid)
-            out[..., 0] = self.amp * w * np.cos(phase)
-        elif self.family == "separable":
-            g_eps = g * self.eps
-            for i in range(grid.dim):
-                out[..., i] = g_eps * grid.sample(self.s, i)
-        else:
-            for i in range(grid.dim):
-                out[..., i] = self.eps * grid.sample(self.s, i) * q
-        return out
+    def along(self, t, grid):
+        """The twist at times ``t`` over ``grid``: f, d/dt f and the fiber
+        partials, each computed on first read (``TwistAlong``)."""
+        return TwistAlong(self, t, grid)
 
     def value(self, t, grid):
-        return self._time_derivative(t, grid, 0)
+        return self.along(t, grid).f
 
     def dt(self, t, grid):
-        return self._time_derivative(t, grid, 1)
+        return self.along(t, grid).dt
 
     def fiber_partials(self, t, grid):
         """Exact partials (d f / d x_i), shape ``grid.shape + (n,)``."""
-        t = np.asarray(t, dtype=float)
-        if self.family in ("pure_time", "traveling"):
-            return self._partials(t, grid, None, None)
-        return self._partials(t, grid, *self._profiles(t, 0))
-
-    def value_and_profiles(self, t, grid):
-        """(f, profiles) at (t, x): f bitwise ``value``, and the order-0 time
-        profiles (g, q) it was combined from, for ``partials_from_profiles``
-        at the same t (None for a traveling twist, which has no profiles)."""
-        t = np.asarray(t, dtype=float)
-        if self.family == "traveling":
-            return self.value(t, grid), None
-        g, q = self._profiles(t, 0)
-        return self._combine(t, grid, g, q), (g, q)
-
-    def partials_from_profiles(self, t, grid, profiles):
-        """``fiber_partials`` at t, bitwise, from the ``profiles`` that
-        ``value_and_profiles`` returned at the same t."""
-        if profiles is None:
-            return self.fiber_partials(t, grid)
-        return self._partials(t, grid, *profiles)
-
-    def evaluate(self, t, grid):
-        """(f, d/dt f, fiber partials) at (t, x), bitwise ``value``, ``dt`` and
-        ``fiber_partials``; f and the partials share one evaluation of the
-        time profiles."""
-        f, profiles = self.value_and_profiles(t, grid)
-        return f, self.dt(t, grid), self.partials_from_profiles(t, grid, profiles)
+        return self.along(t, grid).partials
 
     # -- conveniences -------------------------------------------------------
 
@@ -203,6 +119,105 @@ class TwistedFunction:
         """Pointwise |grad_F f| with respect to the fiber metric."""
         partials = self.fiber_partials(t, grid)
         return np.sqrt(component_sum(partials * partials / grid.metric_diag))
+
+
+class TwistAlong:
+    """A twist at times ``t`` (broadcast against the grid shape) over a
+    fiber grid: ``f``, ``dt`` (d/dt f) and ``partials`` (the exact fiber
+    partials, shape ``+ (n,)``), each computed on first read and kept.
+
+    Every family but ``traveling`` is f = g a (``pure_time``, ``separable``)
+    or g + a q (``additive``) in a fiber factor a: 1, 1 + eps s or eps s,
+    computed once per grid and kept on it.  f and the partials share one
+    evaluation of g(t) and q(t).
+    """
+
+    def __init__(self, twist, t, grid):
+        self.twist = twist
+        self.t = np.asarray(t, dtype=float)
+        self.grid = grid
+
+    @cached_property
+    def _factor(self):
+        twist, grid = self.twist, self.grid
+        if twist.family == "pure_time":
+            return np.broadcast_to(1.0, grid.shape)  # g 1.0 is bitwise g
+
+        def compute():
+            eps_s = twist.eps * grid.sample(twist.s)
+            return 1.0 + eps_s if twist.family == "separable" else eps_s
+
+        # eps by its bits: eps = -0.0 and 0.0 give additive factors of different zeros
+        return grid.cached((twist.family, twist.eps.hex(), twist.s), compute)
+
+    def _combine(self, g, q, a):
+        # g (1 + eps s) and g + eps s q round differently: keep both forms
+        return g + a * q if self.twist.family == "additive" else g * a
+
+    def _profiles(self, order):
+        """The time profiles (g, q) of derivative ``order`` at t; q only for
+        an additive twist."""
+        twist = self.twist
+        g = (twist.g.value, twist.g.deriv)[order](self.t)
+        if twist.family != "additive":
+            return g, None
+        return g, (twist.q.value, twist.q.deriv)[order](self.t)
+
+    _g_and_q = cached_property(lambda self: self._profiles(0))  # shared by f and the partials
+
+    @cached_property
+    def _phase(self):
+        """w and the phase w (t + x) of a traveling twist."""
+        if self.grid.dim != 1:
+            raise DomainError("traveling twist is defined on one-dimensional fibers")
+        w = 2.0 * np.pi / self.twist.period
+        return w, w * (self.t + self.grid.coords[0])
+
+    @cached_property
+    def f(self):
+        if self.twist.family == "traveling":
+            return 1.0 + self.twist.amp * np.sin(self._phase[1])
+        return self._combine(*self._g_and_q, self._factor)
+
+    @cached_property
+    def dt(self):
+        if self.twist.family == "traveling":
+            w, phase = self._phase
+            return self.twist.amp * w * np.cos(phase)
+        return self._combine(*self._profiles(1), self._factor)
+
+    @cached_property
+    def partials(self):
+        twist, grid = self.twist, self.grid
+        shape = np.broadcast(self.t, grid.coords[0]).shape
+        out = component_array(shape, grid.dim, zeros=True)
+        if twist.family == "traveling":
+            out[..., 0] = self.dt  # f depends on t + x
+        elif twist.family == "separable":
+            g_eps = self._g_and_q[0] * twist.eps
+            for i in range(grid.dim):
+                out[..., i] = g_eps * grid.sample(twist.s, i)
+        elif twist.family == "additive":
+            for i in range(grid.dim):
+                out[..., i] = twist.eps * grid.sample(twist.s, i) * self._g_and_q[1]
+        return out
+
+    def fiber_range(self):
+        """The smallest and the largest f over the fiber at each of k times,
+        for ``t`` a column shaped ``(k,) + (1,) * dim``.  Correctly rounded
+        products and sums are monotone in a, so f is evaluated at min a and
+        max a only: its extremes there (NaN, infinities and zeros included)
+        are those over the fiber.  A traveling twist sweeps the fiber in
+        blocks of at most ``_SWEEP_ELEMENTS`` values."""
+        if self.twist.family != "traveling":
+            a = self._factor
+            ends = self._combine(*self._g_and_q, np.array([a.min(), a.max()]))
+            ends = ends.reshape(len(self.t), 2)
+            return ends.min(axis=1), ends.max(axis=1)
+        k = max(1, _SWEEP_ELEMENTS // self.grid.n_nodes)
+        blocks = (self.twist.along(self.t[i:i + k], self.grid).f for i in range(0, len(self.t), k))
+        lows, highs = zip(*((f.min(axis=1), f.max(axis=1)) for f in blocks))
+        return np.concatenate(lows), np.concatenate(highs)
 
 
 @dataclass(frozen=True)
@@ -234,40 +249,18 @@ class SpacetimeModel:
         self._check_positive()
 
     def _check_positive(self, t_samples=64):
-        for times, values in self._positivity_sweep(t_samples):
-            # every value lies in (0, inf) exactly when the smallest is > 0
-            # and the largest < inf; a NaN fails both
-            bad = ~((values.min(axis=1) > 0.0) & (values.max(axis=1) < np.inf))
-            if bad.any():
-                t = times[np.argmax(bad)]
-                raise ValueError(f"twist function is not positive near t={t:.6g}")
+        times = self.time_samples(t_samples)
+        column = times.reshape((-1,) + (1,) * self.fiber.dim)
+        low, high = self.twist.along(column, self.fiber).fiber_range()
+        # every value lies in (0, inf) exactly when the smallest is > 0 and
+        # the largest < inf; a NaN fails both
+        bad = ~((low > 0.0) & (high < np.inf))
+        if bad.any():
+            raise ValueError(f"twist function is not positive near t={times[np.argmax(bad)]:.6g}")
         if self.twist.family == "separable":
             s_max = float(np.max(np.abs(self.fiber.sample(self.twist.s))))
             if abs(self.twist.eps) * s_max >= 1.0:
                 raise ValueError("separable twist needs |eps| * max|s| < 1")
-
-    def _positivity_sweep(self, t_samples):
-        """(times, values) blocks over the ``time_samples`` lattice; row i of
-        ``values`` holds values of f at ``times[i]`` whose smallest and
-        largest are those of f over the fiber.
-
-        A separable or additive f is g a or g + a q with the fiber factor a,
-        and correctly rounded products and sums are monotone in a, so at
-        each time f over the fiber has its extremes (NaN, infinities and
-        zeros included) at min a and max a: one evaluation at those two
-        factors covers every time.  Other families sweep the whole fiber.
-        """
-        twist, grid = self.twist, self.fiber
-        if twist.family in ("separable", "additive"):
-            a = twist._fiber_factor(grid)
-            extremes = np.array([a.min(), a.max()])
-            times = self.time_samples(t_samples)[:, None]
-            g, q = twist._profiles(times, 0)
-            return [(times.ravel(), twist._combine(times, grid, g, q, factor=extremes))]
-        return (
-            (block.ravel(), twist.value(block, grid).reshape(len(block), -1))
-            for block in self.time_blocks(t_samples)
-        )
 
     def _kept(self, key, compute):
         """``compute()``, computed on the first call with ``key`` and kept:

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ def count_calls(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def count_reads(monkeypatch, cls, name):
+    """A list that gains the shape of each value the cached property
+    ``cls.name`` computes from here on."""
+    shapes = []
+    real = getattr(cls, name).func
+
+    def counted(self):
+        value = real(self)
+        shapes.append(np.shape(value))
+        return value
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return shapes
 
 
 # Reference stencils: the np.roll / np.stack / np.sum forms that FiberGrid's

@@ -148,6 +148,25 @@ class TestConfigErrors:
         assert literal in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "task, block, where",
+        [
+            ("verify", {"identities": ["support_identity", "nonsense"]}, "verify/identities/1"),
+            ("verify", {"thresholds": {"mean_curvatre_two_path": 1e-3}}, "verify/thresholds"),
+            ("convergence", {"quantities": ["support_identity", "nonsense"]},
+             "convergence/quantities/1"),
+        ],
+    )
+    def test_unknown_identity_is_a_config_error(self, tmp_path, capsys, task, block, where):
+        # an unknown name used to end in a KeyError traceback after the
+        # output directory was made; a misspelled threshold was ignored
+        cfg = base_config(task, tmp_path / "out")
+        cfg[task] = block
+        assert main([task, "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config schema violation at {where}:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     def test_transition_solve_exits_0_with_artifacts(self, tmp_path):

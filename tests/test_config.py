@@ -289,7 +289,57 @@ class TestSolveOptions:
                 assert getattr(defaults, key) == value, key
 
 
+# (target, accepted): SolveConfig takes what the schema takes, and no
+# non-finite number
+_TARGET_CASES = [
+    (0, True), (-1.5, True), (np.float64(0.25), True), (np.int64(2), True),
+    ("generalized", True),
+    (True, False), (False, False), ("0.5", False), ("Generalized", False), (None, False),
+    ([0.5], False), (math.nan, False), (math.inf, False), (-math.inf, False),
+]
+
+
+class TestTarget:
+    @pytest.mark.parametrize("target, accepted", _TARGET_CASES, ids=repr)
+    def test_api_accepts_only_generalized_or_a_finite_number(self, target, accepted):
+        if accepted:
+            got = SolveConfig(target=target).target
+            assert got == target and type(got) is (str if target == "generalized" else float)
+            return
+        with pytest.raises(ValueError) as exc:
+            SolveConfig(target=target)
+        expected = f"target must be 'generalized' or a finite number, got {target!r}"
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize(
+        "target, accepted", [case for case in _TARGET_CASES if not isinstance(case[0], float)
+                             or math.isfinite(case[0])], ids=repr
+    )
+    def test_api_and_schema_agree(self, target, accepted):
+        raw = solve_config(target=target)
+        assert _accepts(lambda: config_mod.validate(raw), ConfigError) == accepted
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_is_refused_before_the_solve(self, target):
+        # NaN used to end in scipy's "RHS must contain only finite numbers";
+        # +inf returned a bound certificate that serialized as Infinity
+        model = default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+        with pytest.raises(ValueError, match="^target must be"):
+            solve(model, SolveConfig(target=target, initial={"kind": "constant", "value": 0.1}))
+
+
 class TestCatalogSchema:
+    def test_identity_names_come_from_the_registry(self):
+        from twistbench.verify import IDENTITY_KINDS
+
+        names = list(IDENTITY_KINDS)
+        verify = config_mod.SCHEMA["properties"]["verify"]["properties"]
+        convergence = config_mod.SCHEMA["properties"]["convergence"]["properties"]
+        assert verify["identities"]["items"]["enum"] == names
+        assert convergence["quantities"]["items"]["enum"] == names
+        assert list(verify["thresholds"]["properties"]) == names
+        assert verify["thresholds"]["additionalProperties"] is False
+
     def test_twist_schema_lists_each_family_and_its_arguments(self):
         from twistbench.spacetime import TWIST_FAMILIES
 

@@ -6,6 +6,7 @@ from twistbench import (
     DomainError,
     GraphField,
     SolveConfig,
+    TwistedFunction,
     conformal_laplacian_check,
     default_model,
     maximal_power_check,
@@ -18,9 +19,9 @@ from twistbench import (
 )
 
 from twistbench.fiber_grid import component_sum
-from twistbench.graphs import _kit, _small_det, _small_solve, coordinate_laplacian
+from twistbench.graphs import _Kit, _kit, _small_det, _small_solve, coordinate_laplacian
 
-from conftest import assert_bitwise, random_trig_field, ripple
+from conftest import assert_bitwise, count_calls, random_trig_field, ripple
 
 
 class TestTransformMeanCurvature:
@@ -160,6 +161,41 @@ class TestStaticPicture:
             defects["pairing"].append(checks.gradient_pairing.max_defect)
         for values in defects.values():
             assert np.log2(values[-2] / values[-1]) >= 1.9
+
+
+    @pytest.mark.parametrize(
+        "twist, dim", [("separable_gauss", 2), ("additive", 3), ("grw_exp", 1), ("traveling", 1)]
+    )
+    def test_main_rhs_is_bitwise_the_static_picture_factor(self, twist, dim):
+        # the check reads log alpha and its derivatives from its own kit; its
+        # H_tilde is bitwise transform_mean_curvature under static_picture
+        model = default_model(dim, resolution=8, twist=twist, curved=True)
+        graph = random_trig_graph(model, seed=dim, amplitude=0.05)
+        kit = _kit(graph)
+        alpha, dlog_alpha_dt = 1.0 / kit.f, -kit.dlogf
+        H_tilde = transform_mean_curvature(graph, ConformalFactor.static_picture(model.twist))
+        normal_log_alpha = kit.f * (
+            kit.cosh * dlog_alpha_dt
+            + component_sum(-kit.fiber_df / kit.f[..., None] * kit.rho[..., None] * kit.grad_u)
+        )
+        rhs = alpha ** -2 * (
+            (1.0 + kit.cosh ** 2) * dlog_alpha_dt
+            + dim * H_tilde * alpha * kit.cosh
+            - 2.0 * alpha * kit.cosh * normal_log_alpha
+        )
+        assert_bitwise(static_laplacian_check(graph).main.rhs, rhs)
+
+    def test_one_kit_and_no_twist_call_per_check(self, monkeypatch):
+        model = default_model(3, resolution=8, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=3, amplitude=0.05)
+        kits = count_calls(monkeypatch, _Kit, "__init__")
+        twist_calls = [
+            count_calls(monkeypatch, TwistedFunction, name)
+            for name in ("value", "dt", "fiber_partials", "dlog_dt")
+        ]
+        static_laplacian_check(graph)
+        assert len(kits) == 1
+        assert [len(calls) for calls in twist_calls] == [0, 0, 0, 0]
 
 
 class TestMaximalPowerRescaling:

@@ -39,9 +39,12 @@ from twistbench.graphs import (
     _warped_obstruction,
 )
 
+from twistbench.spacetime import TwistAlong
+
 from conftest import (
     assert_bitwise,
     count_calls,
+    count_reads,
     flat_grw_model,
     is_component_major,
     random_trig_field,
@@ -411,8 +414,8 @@ def deferred_kit(dim, twist, curved, form):
 
 class TestDeferredTwistFields:
     """A kit computes d/dt f, d/dt log f and the fiber partials of f on first
-    read, bitwise what ``evaluate`` gives, and only for the kits that read
-    them."""
+    read, bitwise what ``value``, ``dt`` and ``fiber_partials`` give, and
+    only for the kits that read them."""
 
     @pytest.mark.parametrize("form", ["graph", "pointwise"])
     @pytest.mark.parametrize("curved", [False, True])
@@ -420,13 +423,13 @@ class TestDeferredTwistFields:
         "twist, dim",
         [(t, d) for t in STANDARD_TWISTS for d in (1, 2, 3)] + [("traveling", 1)],
     )
-    def test_bitwise_evaluate(self, twist, dim, curved, form):
+    def test_bitwise_the_evaluators(self, twist, dim, curved, form):
         model, kit = deferred_kit(dim, twist, curved, form)
-        f, dtf, partials = model.twist.evaluate(kit.u, model.fiber)
+        fn, grid = model.twist, model.fiber
+        f, dtf, partials = fn.value(kit.u, grid), fn.dt(kit.u, grid), fn.fiber_partials(kit.u, grid)
         assert not {"dtf", "dlogf", "fiber_df"} & set(vars(kit))
         assert_bitwise(kit.f, f)
         assert_bitwise(kit.fiber_df, partials)
-        assert "_profiles" not in vars(kit)  # dropped once the partials exist
         assert_bitwise(kit.dlogf, dtf / f)
         assert_bitwise(kit.dtf, dtf)
         assert kit.fiber_df is kit.fiber_df and kit.dtf is kit.dtf
@@ -437,13 +440,20 @@ class TestDeferredTwistFields:
     )
     def test_unread_fields_cost_nothing(self, monkeypatch, twist, dim, read):
         derivs = count_calls(monkeypatch, TimeProfile, "deriv")
-        rates = count_calls(monkeypatch, TwistedFunction, "dt")
-        partials = count_calls(monkeypatch, TwistedFunction, "_partials")
+        rates = count_reads(monkeypatch, TwistAlong, "dt")
+        partials = count_reads(monkeypatch, TwistAlong, "partials")
         model, kit = deferred_kit(dim, twist, False, "graph")
         {"mu": lambda: kit.mu, "metric": kit.metric,
          "laplacian_tau_fiber": lambda: _laplacian_tau_fiber(kit)}[read]()
         assert (len(derivs), len(rates), len(partials)) == (0, 0, 0)
         assert not {"dtf", "dlogf", "fiber_df"} & set(vars(kit))
+
+    def test_one_evaluator_per_kit(self, monkeypatch):
+        # f, d/dt f and the partials all come from the evaluator along u
+        model, kit = deferred_kit(2, "additive", False, "graph")
+        alongs = count_calls(monkeypatch, TwistedFunction, "along")
+        _Kit(model, kit.u).H
+        assert len(alongs) == 1
 
 
 class TestUnitNormal:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from twistbench import default_model, geometry_report, random_trig_graph
 from twistbench.serialize import (
@@ -12,6 +13,7 @@ from twistbench.serialize import (
     write_gnuplot_data,
     write_json,
     write_jsonl,
+    write_table_csv,
 )
 
 from conftest import random_trig_field, unit_torus
@@ -76,3 +78,58 @@ def test_geometry_report_table_columns():
                 "mean_curvature", "laplacian_tau", "obstruction_norm"}
     assert expected == set(table)
     assert all(np.asarray(col).size == n for col in table.values())
+
+
+def reference_table_csv(columns, path):
+    """The cell-by-cell writer: each cell an int or ``%.17g`` by its own dtype."""
+    arrays = [np.asarray(col).ravel() for col in columns.values()]
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*arrays):
+            cells = [str(int(v)) if np.issubdtype(np.asarray(v).dtype, np.integer) else "%.17g" % v
+                     for v in row]
+            fh.write(",".join(cells) + "\n")
+
+
+class TestOneCsvWriter:
+    @pytest.mark.parametrize("dim, m", [(1, 9), (2, 8), (3, 8)])
+    def test_field_csv_is_the_node_table(self, tmp_path, dim, m):
+        grid = unit_torus(dim, m, curved=True)
+        field = random_trig_field(grid, seed=dim)
+        write_field_csv(grid, field, tmp_path / "field.csv", name="u")
+        idx, xyz = grid.node_indices(), grid.node_coordinates()
+        columns = {f"i{k + 1}": idx[:, k] for k in range(dim)}
+        columns.update({f"x{k + 1}": xyz[:, k] for k in range(dim)})
+        columns["u"] = field
+        reference_table_csv(columns, tmp_path / "reference.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        lines = (tmp_path / "field.csv").read_text().splitlines()
+        assert lines[0] == ",".join([f"i{k + 1}" for k in range(dim)]
+                                    + [f"x{k + 1}" for k in range(dim)] + ["u"])
+        assert len(lines) == grid.n_nodes + 1
+
+    @pytest.mark.parametrize("name", ["i1", "x2"])
+    def test_field_name_may_not_be_a_node_column(self, tmp_path, name):
+        grid = unit_torus(2, 8)
+        with pytest.raises(ValueError, match=f"^field name '{name}' is taken by a node column$"):
+            write_field_csv(grid, np.zeros(grid.shape), tmp_path / "field.csv", name=name)
+        assert not (tmp_path / "field.csv").exists()
+
+    def test_table_csv_formats_each_column_by_its_dtype(self, tmp_path):
+        # 10,000 rows cross several write chunks; signed zeros, subnormals
+        # and the int, bool, float32 and float64 dtypes keep their cells
+        rng = np.random.default_rng(7)
+        n = 10_000
+        values = rng.standard_normal(n)
+        values[:4] = (-0.0, 5e-324, 1e30, 1.0 / 3.0)
+        columns = {
+            "k": np.arange(n, dtype=np.int32),
+            "big": np.arange(n, dtype=np.int64) * 2**49,  # past 17 digits
+            "flag": values > 0.0,
+            "single": values.astype(np.float32),
+            "value": values,
+        }
+        write_table_csv(columns, tmp_path / "table.csv")
+        reference_table_csv(columns, tmp_path / "reference.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "table.csv").read_text().splitlines()[1] == "0,0,0,-0,-0"

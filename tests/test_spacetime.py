@@ -19,10 +19,10 @@ from twistbench import (
     torqued_one_form,
 )
 from twistbench.solver import certificate_check
-from twistbench.spacetime import _SWEEP_ELEMENTS, SIGN_TOL
+from twistbench.spacetime import _SWEEP_ELEMENTS, SIGN_TOL, TwistAlong
 from twistbench.verify import _spectral_diff
 
-from conftest import assert_bitwise, count_calls, ripple, unit_torus
+from conftest import assert_bitwise, count_calls, count_reads, ripple, unit_torus
 
 
 STANDARD_TWISTS = (
@@ -272,15 +272,46 @@ class TestBlockedTimeSweeps:
 
     @pytest.mark.parametrize(
         "twist, dim, resolution, sweeps",
-        [("additive", 2, 64, 0), ("grw_exp", 1, 128, 1), ("grw_exp", 2, 64, 4),
-         ("traveling", 1, 128, 1)],
+        [("additive", 2, 64, []), ("grw_exp", 1, 128, []), ("grw_exp", 2, 64, []),
+         ("traveling", 1, 128, [(64, 128)])],
     )
-    def test_positivity_sweeps_only_twists_without_a_fiber_factor(
+    def test_positivity_reads_f_at_the_factor_extremes(
         self, monkeypatch, twist, dim, resolution, sweeps
     ):
+        # one evaluator on the column of 64 sampled times, which reads f at
+        # min a and max a of the fiber factor (1 for pure_time); a traveling
+        # twist sweeps the fiber, here in one block
         values = count_calls(monkeypatch, TwistedFunction, "value")
+        reads = count_reads(monkeypatch, TwistAlong, "f")
+        times = []
+        along = TwistedFunction.along
+
+        def counted(self, t, grid):
+            times.append(np.shape(t))
+            return along(self, t, grid)
+
+        monkeypatch.setattr(TwistedFunction, "along", counted)
         default_model(dim, resolution=resolution, twist=twist)
-        assert len(values) == sweeps
+        column = (64,) + (1,) * dim
+        assert len(values) == 0
+        assert times == [column] + [column] * len(sweeps)
+        assert reads == sweeps
+
+    def test_traveling_positivity_sweeps_in_blocks(self, monkeypatch):
+        # 64 times over 4096 nodes: 4 blocks of 16 times, never one array
+        # of more than _SWEEP_ELEMENTS values
+        reads = count_reads(monkeypatch, TwistAlong, "f")
+        grid = unit_torus(1, 4096)
+        twist = TwistedFunction("traveling", amp=0.3, period=0.5)
+        SpacetimeModel((-1.0, 1.0), grid, twist)
+        assert reads == [(16, 4096)] * 4
+        assert 16 * 4096 == _SWEEP_ELEMENTS
+        # the blocks find what one sweep over every time finds
+        times = np.linspace(-1.0, 1.0, 64)[:, None]
+        low, high = twist.along(times, grid).fiber_range()
+        f = twist.value(times, grid)
+        assert_bitwise(low, f.min(axis=1))
+        assert_bitwise(high, f.max(axis=1))
 
     def test_positivity_error_names_the_first_failing_time(self):
         # g = 0.5 - t; all 64 samples share one block on 128 nodes
@@ -371,24 +402,31 @@ class TestPositivity:
 
 class TestFiberFactor:
     """separable and additive twists read a fiber factor a = 1 + eps s or
-    eps s kept on the grid; f, d/dt f and the partials stay bitwise the
-    literal formulas."""
+    eps s kept on the grid, pure_time twists the unit factor; f, d/dt f
+    and the partials stay bitwise the literal formulas."""
 
     @pytest.mark.parametrize("curved", [False, True])
-    @pytest.mark.parametrize("name", ["separable_gauss", "separable_exp", "additive"])
+    @pytest.mark.parametrize(
+        "name", ["grw_exp", "grw_gauss", "separable_gauss", "separable_exp", "additive"]
+    )
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_evaluators_match_the_literal_formulas(self, dim, name, curved):
         model = default_model(dim, resolution=8, twist=name, curved=curved)
         twist, grid = model.twist, model.fiber
-        eps, s = twist.eps, twist.s.value(*grid.coords)
-        ds = [twist.s.partial(i, *grid.coords) for i in range(dim)]
         heights = 0.3 + 0.2 * np.cos(2.0 * np.pi * grid.coords[-1])
         for t in (0.2, heights, model.time_blocks(5)[0]):
             g, dg = twist.g.value(t), twist.g.deriv(t)
+            shape = np.broadcast(t, grid.coords[0]).shape
+            if twist.family == "pure_time":
+                f, dtf = np.broadcast_to(g, shape).copy(), np.broadcast_to(dg, shape).copy()
+                partials = [np.zeros(shape)] * dim
+            else:
+                eps, s = twist.eps, twist.s.value(*grid.coords)
+                ds = [twist.s.partial(i, *grid.coords) for i in range(dim)]
             if twist.family == "separable":
                 f, dtf = g * (1.0 + eps * s), dg * (1.0 + eps * s)
                 partials = [g * eps * d for d in ds]
-            else:
+            elif twist.family == "additive":
                 q, dq = twist.q.value(t), twist.q.deriv(t)
                 f, dtf = g + eps * s * q, dg + eps * s * dq
                 partials = [eps * d * q for d in ds]
@@ -396,32 +434,44 @@ class TestFiberFactor:
             assert_bitwise(twist.value(t, grid), f)
             assert_bitwise(twist.dt(t, grid), dtf)
             assert_bitwise(twist.fiber_partials(t, grid), partials)
-            for actual, expected in zip(twist.evaluate(t, grid), (f, dtf, partials)):
+            along = twist.along(t, grid)
+            for actual, expected in zip((along.f, along.dt, along.partials), (f, dtf, partials)):
                 assert_bitwise(actual, expected)
+
+    def test_pure_time_ignores_a_fiber_profile(self):
+        # the family picks the formula, not which arguments are given
+        grid = unit_torus(2, 8)
+        g = TimeProfile("gauss")
+        plain = TwistedFunction("pure_time", g=g)
+        with_s = TwistedFunction("pure_time", g=g, eps=0.5, s=ripple(grid))
+        for t in (0.3, np.full(grid.shape, -0.2)):
+            for method in ("value", "dt", "fiber_partials"):
+                assert_bitwise(getattr(with_s, method)(t, grid), getattr(plain, method)(t, grid))
 
     @pytest.mark.parametrize("family", ["separable", "additive"])
     def test_factor_is_cached_read_only(self, family):
         grid = unit_torus(2, 16)
         s = ripple(grid, phase=0.3)
         twist = TwistedFunction(family, g=TimeProfile("gauss"), eps=0.1, s=s, q=TimeProfile("cosh"))
-        a = twist._fiber_factor(grid)
+        a = twist.along(0.0, grid)._factor
         eps_s = 0.1 * s.value(*grid.coords)
         assert_bitwise(a, 1.0 + eps_s if family == "separable" else eps_s)
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
-        assert twist._fiber_factor(grid) is a
+        # every evaluator on the grid shares it, at any time
+        assert twist.along(np.full(grid.shape, 0.3), grid)._factor is a
         # an equal twist built separately shares the factor; a refined grid does not
         twin = TwistedFunction(family, g=TimeProfile("exp"), eps=0.1, s=s, q=TimeProfile("gauss"))
-        assert twin._fiber_factor(grid) is a
-        assert twist._fiber_factor(grid.refined()).shape == (32, 32)
+        assert twin.along(0.0, grid)._factor is a
+        assert twist.along(0.0, grid.refined())._factor.shape == (32, 32)
 
     def test_signed_zero_eps_keeps_its_own_factor(self):
         grid = unit_torus(1, 16)
         s = ripple(grid)
         factors = [
             TwistedFunction("additive", g=TimeProfile("gauss"), eps=eps, s=s,
-                            q=TimeProfile("cosh"))._fiber_factor(grid)
+                            q=TimeProfile("cosh")).along(0.0, grid)._factor
             for eps in (0.0, -0.0)
         ]
         assert_bitwise(factors[0], 0.0 * s.value(*grid.coords))
@@ -462,10 +512,10 @@ class TestExactDerivatives:
                 assert np.max(np.abs(partials[..., i] - spectral)) <= 1e-10, (name, i)
 
 
-class TestEvaluate:
-    """``evaluate`` returns f, d/dt f and the fiber partials together, bitwise
-    what the three separate evaluators give, with one pass over each time
-    profile for f and the partials."""
+class TestAlong:
+    """``along`` computes f, d/dt f and the fiber partials on first read,
+    bitwise what the three separate evaluators give, with one pass over
+    each time profile for f and the partials."""
 
     @pytest.mark.parametrize(
         "name, dim",
@@ -477,25 +527,39 @@ class TestEvaluate:
         grid = model.fiber
         heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0])
         for t in (0.2, heights):
-            f, dtf, partials = model.twist.evaluate(t, grid)
-            assert_bitwise(f, model.twist.value(t, grid))
-            assert_bitwise(dtf, model.twist.dt(t, grid))
-            assert_bitwise(partials, model.twist.fiber_partials(t, grid))
+            along = model.twist.along(t, grid)
+            assert not {"f", "dt", "partials"} & set(vars(along))
+            assert_bitwise(along.partials, model.twist.fiber_partials(t, grid))
+            assert_bitwise(along.f, model.twist.value(t, grid))
+            assert_bitwise(along.dt, model.twist.dt(t, grid))
+            assert along.f is along.f and along.partials is along.partials
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_separable_matches_the_closed_form(self, dim):
         # reference: g(t) (1 + eps s), g'(t) (1 + eps s) and g(t) eps d_i s,
-        # each with g evaluated on its own, as the evaluators did before
+        # each with g evaluated on its own
         model = default_model(dim, resolution=8, twist="separable_exp", curved=True)
         twist, grid = model.twist, model.fiber
         t = 0.3 + 0.2 * np.cos(2.0 * np.pi * grid.coords[-1])
-        f, dtf, partials = twist.evaluate(t, grid)
-        assert_bitwise(f, twist.g.value(t) * (1.0 + twist.eps * grid.sample(twist.s)))
-        assert_bitwise(dtf, twist.g.deriv(t) * (1.0 + twist.eps * grid.sample(twist.s)))
+        along = twist.along(t, grid)
+        assert_bitwise(along.f, twist.g.value(t) * (1.0 + twist.eps * grid.sample(twist.s)))
+        assert_bitwise(along.dt, twist.g.deriv(t) * (1.0 + twist.eps * grid.sample(twist.s)))
         expected = np.zeros(grid.shape + (dim,))
         for i in range(dim):
             expected[..., i] = twist.g.value(t) * twist.eps * grid.sample(twist.s, i)
-        assert_bitwise(partials, expected)
+        assert_bitwise(along.partials, expected)
+
+    @pytest.mark.parametrize("name", ["grw_gauss", "separable_gauss", "additive"])
+    def test_f_and_the_partials_share_one_profile_pass(self, monkeypatch, name):
+        model = default_model(2, resolution=8, twist=name)
+        values = count_calls(monkeypatch, TimeProfile, "value")
+        derivs = count_calls(monkeypatch, TimeProfile, "deriv")
+        along = model.twist.along(0.4, model.fiber)
+        along.f, along.partials
+        profiles = 2 if name == "additive" else 1  # g, and q for an additive twist
+        assert (len(values), len(derivs)) == (profiles, 0)
+        along.dt
+        assert (len(values), len(derivs)) == (profiles, profiles)
 
     def test_one_profile_pass_per_kit(self, monkeypatch):
         from twistbench import random_trig_graph

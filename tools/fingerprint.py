@@ -1,0 +1,236 @@
+"""Hash twistbench's numerical results to JSON, one digest per result.
+
+    python3 tools/fingerprint.py > after.json
+    python3 tools/fingerprint.py --src ../base/src > before.json
+    diff before.json after.json
+
+Run it on two checkouts (``--src`` picks the package to import; the default
+is the ``src`` beside this script) and diff the files: a change that
+leaves every result bitwise unchanged gives no differences.  Each entry is
+the SHA-256 prefix of one result: arrays by dtype, shape and bytes (signed
+zeros and NaN payloads included), floats by ``float.hex``, everything else
+by ``repr``.
+
+The matrix covers the twist evaluators (6 twists, fiber dimensions 1-3,
+flat and curved fibers, scalar, per-node and blocked times), every kit
+field in graph and pointwise form, both mean-curvature paths, the conformal
+and static-picture checks, ``classify``, ``is_grw``, ``dlog_dt_range``,
+five full solves, the positivity verdicts of adversarial twists and the
+CSV files the command line writes.  It takes a few seconds on one core.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+import numpy as np
+
+TWISTS = ("grw_exp", "grw_gauss", "separable_gauss", "separable_exp", "additive", "traveling")
+
+
+def _feed(h, value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        arr = np.asarray(value)
+        h.update(f"array {arr.dtype.str} {arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    elif isinstance(value, float):
+        h.update(f"float {value.hex()}".encode())
+    elif isinstance(value, (list, tuple)):
+        h.update(f"seq {len(value)}".encode())
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, dict):
+        h.update(f"dict {len(value)}".encode())
+        for key in sorted(value, key=repr):
+            h.update(repr(key).encode())
+            _feed(h, value[key])
+    elif is_dataclass(value):
+        _feed(h, {f.name: getattr(value, f.name) for f in fields(value)})
+    else:
+        h.update(repr(value).encode())
+
+
+def digest(value):
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()[:20]
+
+
+def _outcome(call):
+    """``call()``, or the type and message of the exception it raised."""
+    try:
+        return call()
+    except ValueError as exc:  # a refusal is a result too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cases():
+    for twist in TWISTS:
+        for dim in (1, 2, 3):
+            if twist == "traveling" and dim > 1:
+                continue
+            for curved in (False, True):
+                yield twist, dim, curved
+
+
+def twist_results(tb, out):
+    for twist, dim, curved in _cases():
+        model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
+        fn, grid = model.twist, model.fiber
+        heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0])
+        times = {"scalar": 0.2, "heights": heights, "block": model.time_blocks(5)[0]}
+        for label, t in times.items():
+            key = f"twist/{twist}/d{dim}/{'curved' if curved else 'flat'}/{label}"
+            for name in ("value", "dt", "fiber_partials", "dlog_dt", "fiber_grad_norm"):
+                out[f"{key}/{name}"] = digest(getattr(fn, name)(t, grid))
+        out[f"model/{twist}/d{dim}/{'curved' if curved else 'flat'}"] = digest([
+            tb.classify(model, t_samples=37), tb.is_grw(model, t_samples=33),
+            model.dlog_dt_range(40), tb.slice_mean_curvature(model, 0.1),
+        ])
+
+
+KIT_FIELDS = ("f", "dtf", "dlogf", "fiber_df", "mu", "rho", "cosh", "sinh_sq", "H", "support")
+
+
+def kit_results(tb, out):
+    from twistbench.graphs import _Kit
+
+    for twist, dim, curved in _cases():
+        model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
+        graph = tb.random_trig_graph(model, seed=dim, amplitude=0.05)
+        key = f"kit/{twist}/d{dim}/{'curved' if curved else 'flat'}"
+        for form, du in (("graph", None), ("pointwise", 0.5 * model.fiber.partials(graph.u))):
+            kit = _Kit(model, graph.u, du, require_spacelike=False)
+            for name in KIT_FIELDS:
+                out[f"{key}/{form}/{name}"] = digest(getattr(kit, name))
+            for name in ("metric", "det_factored", "composed_df", "flux", "curvature_terms"):
+                out[f"{key}/{form}/{name}()"] = digest(getattr(kit, name)())
+        out[f"{key}/H_fiber"] = digest(tb.mean_curvature(graph))
+        out[f"{key}/H_coordinate"] = digest(tb.mean_curvature_from_laplacian(graph))
+        out[f"{key}/laplacian_tau"] = digest(
+            [tb.laplacian_tau_fiber(graph), tb.laplacian_tau_coordinate(graph)])
+        out[f"{key}/obstruction"] = digest(tb.warped_obstruction(graph))
+        out[f"{key}/slice_report"] = digest(tb.slice_condition_report(graph))
+        out[f"{key}/static"] = digest(_outcome(lambda: tb.static_laplacian_check(graph)))
+        ripple = tb.TrigPolynomial.from_specs(
+            [{"coeff": 0.3, "wavevec": (1,) + (0,) * (dim - 1), "phase": 0.4}],
+            model.fiber.periods)
+        factors = [tb.ConformalFactor.constant(0.3),
+                   tb.ConformalFactor.static_picture(model.twist),
+                   tb.ConformalFactor.static_picture(model.twist, power=2.0),
+                   tb.ConformalFactor.fiber_only(ripple)]
+        h = np.cos(2.0 * np.pi * model.fiber.coords[-1])
+        for j, phi in enumerate(factors):
+            out[f"{key}/conformal{j}"] = digest([
+                tb.transform_mean_curvature(graph, phi),
+                tb.conformal_laplacian_check(h, phi, graph),
+                tb.slice_shape_transform(model, 0.1, phi),
+            ])
+
+
+def solve_results(tb, out):
+    refuse = tb.default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
+    runs = {  # model, initializer, options
+        "maximal-1d": (tb.default_model(1), {"seed": 1, "center": 0.2}, {}),
+        "maximal-2d": (tb.default_model(2, resolution=24), {"seed": 2, "center": -0.3}, {}),
+        "generalized-1d": (tb.default_model(1, twist="additive"), {"seed": 3},
+                           {"target": "generalized"}),
+        "bound-1d": (refuse, {"seed": 4}, {}),
+        "drift-1d": (refuse, {"seed": 4}, {"check_certificate": False}),
+    }
+    for name, (model, start, options) in runs.items():
+        initial = {"kind": "random_trig", "amplitude": 0.1, **start}
+        outcome = tb.solve(model, tb.SolveConfig(initial=initial, **options))
+        out[f"solve/{name}"] = digest([
+            outcome.tag, outcome.residual_norm, outcome.iterations, outcome.certificate,
+            outcome.diagnostics, outcome.log, None if outcome.graph is None else outcome.graph.u,
+        ])
+        if outcome.report is not None:
+            report = outcome.report
+            out[f"solve/{name}/report"] = digest(
+                {f.name: getattr(report, f.name) for f in fields(report) if f.name != "graph"})
+        if outcome.tag == "converged" and "target" not in options:
+            out[f"solve/{name}/rigidity"] = digest(tb.rigidity_report(outcome))
+
+
+def positivity_results(tb, out):
+    """Build verdicts of twists whose values over the fiber reach zero, go
+    negative, overflow, underflow to zero or stay positive."""
+    g_profiles = [
+        tb.TimeProfile("constant", {"c": 0.0}),
+        tb.TimeProfile("linear", {"a": 0.2, "b": -1.0}),
+        tb.TimeProfile("exp", {"rate": 800.0}),
+        tb.TimeProfile("constant", {"c": 1e-320}),
+        tb.TimeProfile("gauss"),
+    ]
+    q_profiles = [tb.TimeProfile("linear", {"a": 0.0, "b": 1.0}), tb.TimeProfile("cosh")]
+    with np.errstate(all="ignore"):
+        for dim in (1, 2, 3):
+            grid = tb.default_fiber(dim, resolution=9)
+            s = tb.TrigPolynomial.from_specs(
+                [{"coeff": 1.0, "wavevec": (1,) + (0,) * (dim - 1), "phase": 0.3}], grid.periods)
+            twists = [tb.TwistedFunction("pure_time", g=g) for g in g_profiles]
+            for g in g_profiles:
+                for eps in (0.1, 0.999, 1.0, -1.0, 2.0, -0.5, -0.0):
+                    twists.append(tb.TwistedFunction("separable", g=g, eps=eps, s=s))
+                    twists += [tb.TwistedFunction("additive", g=g, eps=eps, s=s, q=q)
+                               for q in q_profiles]
+            if dim == 1:
+                twists += [tb.TwistedFunction("traveling", amp=a, period=0.5) for a in (0.3, -0.9)]
+            verdicts = []
+            for twist in twists:
+                for interval in ((-1.0, 1.0), (-2.0, 3.0)):
+                    verdicts.append(_outcome(
+                        lambda: tb.SpacetimeModel(interval, grid, twist) and "ok"))
+            out[f"positivity/d{dim}"] = digest(verdicts)
+            out[f"positivity/d{dim}/count"] = len(verdicts)
+        # a traveling check past one sweep block: 64 times x 4096 nodes
+        grid, wave = tb.default_fiber(1, resolution=4096), tb.TwistedFunction("traveling", amp=0.9)
+        out["positivity/traveling-4096"] = digest([
+            _outcome(lambda: tb.SpacetimeModel(interval, grid, wave) and "ok")
+            for interval in ((-1.0, 1.0), (-np.inf, 1.0))])
+
+
+def csv_results(tb, out):
+    from twistbench.serialize import geometry_report_table, write_field_csv, write_table_csv
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for dim in (1, 2, 3):
+            twist = "additive" if dim == 2 else "separable_gauss"
+            model = tb.default_model(dim, resolution=8, twist=twist)
+            graph = tb.random_trig_graph(model, seed=5, amplitude=0.05)
+            report = tb.geometry_report(graph)
+            out[f"geometry/d{dim}/summary"] = digest(report.summary())
+            path = Path(tmp) / "report.csv"
+            write_table_csv(geometry_report_table(report), path)
+            out[f"csv/d{dim}/table"] = digest(path.read_bytes())
+            write_field_csv(model.fiber, graph.u, path, name="u")
+            out[f"csv/d{dim}/field"] = digest(path.read_bytes())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the twistbench package to fingerprint")
+    parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import twistbench as tb
+
+    out = {}
+    for part in (twist_results, kit_results, solve_results, positivity_results, csv_results):
+        part(tb, out)
+    text = json.dumps(out, indent=1, sort_keys=True) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+    print(f"{len(out)} results from {tb.__file__}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
