@@ -8,7 +8,7 @@ the exact dictionary that reports embed, which can be fed back to reproduce
 the run; initializer defaults stay with ``initializers``.  The schema reads
 the solve options, twist families, time-profile kinds and identity names
 from their single declarations: ``SolveConfig``, ``TWIST_FAMILIES``,
-``TIME_KINDS`` and the identity registry of ``verify``.
+``TIME_KINDS`` and ``IDENTITY_KINDS``.
 """
 
 import copy
@@ -22,9 +22,9 @@ import jsonschema
 
 from .errors import ConfigError
 from .fiber_grid import FiberGrid
+from .identities import IDENTITY_KINDS
 from .profiles import TIME_KINDS, TimeProfile, TrigPolynomial
 from .spacetime import TWIST_FAMILIES, SpacetimeModel, TwistedFunction
-from .verify import IDENTITY_KINDS
 
 __all__ = ["SCHEMA", "SolveConfig", "load_config", "resolve", "build_model"]
 

@@ -119,9 +119,8 @@ def transform_mean_curvature(graph, phi):
 
 
 def _transformed_mean_curvature(kit, phi, phi_dt, phi_partials):
-    """``transform_mean_curvature`` from a kit and phi, d/dt phi and the
-    exact fiber partials of phi along the graph; g(N, grad phi) is
-    (d/dt phi) cosh(theta) + d_F phi (N_F)."""
+    """``transform_mean_curvature`` from a kit and phi, d/dt phi and d_F phi
+    along its graph: g(N, grad phi) = (d/dt phi) cosh(theta) + d_F phi (N_F)."""
     normal = phi_dt * kit.cosh + component_sum(phi_partials * kit.rho[..., None] * kit.grad_u)
     return np.exp(-phi) * (kit.H + normal)
 

@@ -119,8 +119,7 @@ def geometry_report_table(report):
 def _node_columns(grid):
     """The index columns i1.. and the coordinate columns x1.. of every node,
     row-major."""
-    indices = grid.node_indices()
-    coords = grid.node_coordinates()
+    indices, coords = grid.node_indices(), grid.node_coordinates()
     columns = {f"i{k + 1}": indices[:, k] for k in range(grid.dim)}
     columns.update({f"x{k + 1}": coords[:, k] for k in range(grid.dim)})
     return columns

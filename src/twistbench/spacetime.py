@@ -155,17 +155,16 @@ class TwistAlong:
         return g + a * q if self.twist.family == "additive" else g * a
 
     def _profiles(self, order):
-        """The time profiles (g, q) of derivative ``order`` at t; q only for
-        an additive twist."""
+        """The time profiles (g, q) of derivative ``order``; q only if additive."""
         twist = self.twist
         g = (twist.g.value, twist.g.deriv)[order](self.t)
         if twist.family != "additive":
             return g, None
         return g, (twist.q.value, twist.q.deriv)[order](self.t)
 
-    _g_and_q = cached_property(lambda self: self._profiles(0))  # shared by f and the partials
+    # shared by f and the partials, and dropped once neither will read them
+    _g_and_q = cached_property(lambda self: self._profiles(0))
 
-    @cached_property
     def _phase(self):
         """w and the phase w (t + x) of a traveling twist."""
         if self.grid.dim != 1:
@@ -176,13 +175,16 @@ class TwistAlong:
     @cached_property
     def f(self):
         if self.twist.family == "traveling":
-            return 1.0 + self.twist.amp * np.sin(self._phase[1])
-        return self._combine(*self._g_and_q, self._factor)
+            return 1.0 + self.twist.amp * np.sin(self._phase()[1])
+        f = self._combine(*self._g_and_q, self._factor)
+        if self.twist.family == "pure_time" or "partials" in vars(self):
+            del self._g_and_q
+        return f
 
     @cached_property
     def dt(self):
         if self.twist.family == "traveling":
-            w, phase = self._phase
+            w, phase = self._phase()
             return self.twist.amp * w * np.cos(phase)
         return self._combine(*self._profiles(1), self._factor)
 
@@ -200,24 +202,23 @@ class TwistAlong:
         elif twist.family == "additive":
             for i in range(grid.dim):
                 out[..., i] = twist.eps * grid.sample(twist.s, i) * self._g_and_q[1]
+        if "f" in vars(self):
+            vars(self).pop("_g_and_q", None)
         return out
 
     def fiber_range(self):
-        """The smallest and the largest f over the fiber at each of k times,
-        for ``t`` a column shaped ``(k,) + (1,) * dim``.  Correctly rounded
-        products and sums are monotone in a, so f is evaluated at min a and
-        max a only: its extremes there (NaN, infinities and zeros included)
-        are those over the fiber.  A traveling twist sweeps the fiber in
-        blocks of at most ``_SWEEP_ELEMENTS`` values."""
-        if self.twist.family != "traveling":
+        """The smallest and the largest f over the fiber at each time of the
+        column ``t``, shaped ``(k,) + (1,) * dim``.  Correctly rounded products
+        and sums are monotone in a, so a family with a fiber factor reads f at
+        min a and max a only (NaN, infinities and zeros included); a
+        traveling twist reads f over the whole fiber."""
+        if self.twist.family == "traveling":
+            f = self.f
+        else:
             a = self._factor
-            ends = self._combine(*self._g_and_q, np.array([a.min(), a.max()]))
-            ends = ends.reshape(len(self.t), 2)
-            return ends.min(axis=1), ends.max(axis=1)
-        k = max(1, _SWEEP_ELEMENTS // self.grid.n_nodes)
-        blocks = (self.twist.along(self.t[i:i + k], self.grid).f for i in range(0, len(self.t), k))
-        lows, highs = zip(*((f.min(axis=1), f.max(axis=1)) for f in blocks))
-        return np.concatenate(lows), np.concatenate(highs)
+            f = self._combine(*self._g_and_q, np.array([a.min(), a.max()]))
+        f = f.reshape(len(self.t), -1)
+        return f.min(axis=1), f.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -249,14 +250,18 @@ class SpacetimeModel:
         self._check_positive()
 
     def _check_positive(self, t_samples=64):
-        times = self.time_samples(t_samples)
-        column = times.reshape((-1,) + (1,) * self.fiber.dim)
-        low, high = self.twist.along(column, self.fiber).fiber_range()
+        if self.twist.family == "traveling":  # f over the whole fiber: bounded blocks
+            blocks = self.time_blocks(t_samples)
+        else:  # f at two values of the fiber factor per time: one column
+            blocks = [self.time_samples(t_samples).reshape((-1,) + (1,) * self.fiber.dim)]
+        ranges = [self.twist.along(block, self.fiber).fiber_range() for block in blocks]
+        low, high = (np.concatenate(ends) for ends in zip(*ranges))
         # every value lies in (0, inf) exactly when the smallest is > 0 and
         # the largest < inf; a NaN fails both
         bad = ~((low > 0.0) & (high < np.inf))
         if bad.any():
-            raise ValueError(f"twist function is not positive near t={times[np.argmax(bad)]:.6g}")
+            t = self.time_samples(t_samples)[np.argmax(bad)]
+            raise ValueError(f"twist function is not positive near t={t:.6g}")
         if self.twist.family == "separable":
             s_max = float(np.max(np.abs(self.fiber.sample(self.twist.s))))
             if abs(self.twist.eps) * s_max >= 1.0:

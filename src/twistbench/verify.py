@@ -31,6 +31,7 @@ from .graphs import (
     unit_normal,
     warped_obstruction,
 )
+from .identities import IDENTITY_KINDS
 from .initializers import corpus_graphs
 from .profiles import TimeProfile, TrigPolynomial
 from .spacetime import SpacetimeModel, TwistedFunction
@@ -248,26 +249,8 @@ def _area_variation(ctx):
     ]
 
 
-_REGISTRY = {
-    "mean_curvature_two_path": (_mean_curvature_two_path, "order2"),
-    "laplacian_tau_two_path": (_laplacian_tau_two_path, "order2"),
-    "conformal_laplacian": (_conformal_laplacian, "order2"),
-    "static_main": (_static_main, "order2"),
-    "static_laplacian_relation": (_static_laplacian_relation, "order2"),
-    "static_gradient_pairing": (_static_gradient_pairing, "order2"),
-    "product_rule": (_product_rule, "order2"),
-    "fiber_gradient_accuracy": (_fiber_gradient_accuracy, "order2"),
-    "fiber_laplacian_accuracy": (_fiber_laplacian_accuracy, "order2"),
-    "det_two_path": (_det_two_path, "exact"),
-    "unit_normal_norm": (_unit_normal_norm, "exact"),
-    "hyperbolic_identity": (_hyperbolic_identity, "exact"),
-    "support_identity": (_support_identity, "exact"),
-    "grad_tau_contraction": (_grad_tau_contraction, "exact"),
-    "obstruction_grw": (_obstruction_grw, "exact"),
-    "area_variation": (_area_variation, "exact"),
-}
-
-IDENTITY_KINDS = {name: kind for name, (_, kind) in _REGISTRY.items()}
+# name -> (check, kind); a missing check fails the import
+_REGISTRY = {name: (globals()[f"_{name}"], kind) for name, kind in IDENTITY_KINDS.items()}
 
 # Order2 thresholds were measured on the standard corpus at the desk
 # resolutions (128 / 64^2 / 16^3) and carry roughly 20x headroom, keyed by

@@ -392,16 +392,19 @@ def _scrubbed_python(code, **env):
 
 class TestImportGraph:
     def test_config_does_not_load_scipy(self):
-        # the verify and convergence commands load config but never the solver
+        # the verify and convergence commands load config but never the
+        # solver, and the solve commands never load the identity suite
         result = _scrubbed_python(
             "import json, sys\n"
             "import twistbench.config\n"
             "scipy = 'scipy' in sys.modules\n"
+            "verify = 'twistbench.verify' in sys.modules\n"
             "import twistbench.solver\n"
-            "print(json.dumps({'scipy': scipy, 'same': twistbench.solver.SolveConfig\n"
+            "print(json.dumps({'scipy': scipy, 'verify': verify,\n"
+            "                  'same': twistbench.solver.SolveConfig\n"
             "                  is twistbench.config.SolveConfig}))\n"
         )
-        assert result == {"scipy": False, "same": True}
+        assert result == {"scipy": False, "verify": False, "same": True}
 
 
 class TestThreadCap:

@@ -330,9 +330,13 @@ class TestTarget:
 
 class TestCatalogSchema:
     def test_identity_names_come_from_the_registry(self):
-        from twistbench.verify import IDENTITY_KINDS
+        from twistbench import verify
+        from twistbench.identities import IDENTITY_KINDS
 
         names = list(IDENTITY_KINDS)
+        # the suite runs one check per declared name, with the declared kind
+        assert verify.IDENTITY_KINDS is IDENTITY_KINDS
+        assert {name: kind for name, (_, kind) in verify._REGISTRY.items()} == IDENTITY_KINDS
         verify = config_mod.SCHEMA["properties"]["verify"]["properties"]
         convergence = config_mod.SCHEMA["properties"]["convergence"]["properties"]
         assert verify["identities"]["items"]["enum"] == names

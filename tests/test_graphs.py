@@ -430,6 +430,8 @@ class TestDeferredTwistFields:
         assert not {"dtf", "dlogf", "fiber_df"} & set(vars(kit))
         assert_bitwise(kit.f, f)
         assert_bitwise(kit.fiber_df, partials)
+        # the time profiles f shared with the partials are dropped once both exist
+        assert "_g_and_q" not in vars(kit._twist)
         assert_bitwise(kit.dlogf, dtf / f)
         assert_bitwise(kit.dtf, dtf)
         assert kit.fiber_df is kit.fiber_df and kit.dtf is kit.dtf

@@ -280,7 +280,7 @@ class TestBlockedTimeSweeps:
     ):
         # one evaluator on the column of 64 sampled times, which reads f at
         # min a and max a of the fiber factor (1 for pure_time); a traveling
-        # twist sweeps the fiber, here in one block
+        # twist reads f over the fiber, here in one block of every time
         values = count_calls(monkeypatch, TwistedFunction, "value")
         reads = count_reads(monkeypatch, TwistAlong, "f")
         times = []
@@ -294,7 +294,7 @@ class TestBlockedTimeSweeps:
         default_model(dim, resolution=resolution, twist=twist)
         column = (64,) + (1,) * dim
         assert len(values) == 0
-        assert times == [column] + [column] * len(sweeps)
+        assert times == [column]
         assert reads == sweeps
 
     def test_traveling_positivity_sweeps_in_blocks(self, monkeypatch):
@@ -306,8 +306,8 @@ class TestBlockedTimeSweeps:
         SpacetimeModel((-1.0, 1.0), grid, twist)
         assert reads == [(16, 4096)] * 4
         assert 16 * 4096 == _SWEEP_ELEMENTS
-        # the blocks find what one sweep over every time finds
-        times = np.linspace(-1.0, 1.0, 64)[:, None]
+        # each block's range is its f's smallest and largest over the fiber
+        times = np.linspace(-1.0, 1.0, 16)[:, None]
         low, high = twist.along(times, grid).fiber_range()
         f = twist.value(times, grid)
         assert_bitwise(low, f.min(axis=1))
@@ -549,17 +549,38 @@ class TestAlong:
             expected[..., i] = twist.g.value(t) * twist.eps * grid.sample(twist.s, i)
         assert_bitwise(along.partials, expected)
 
+    @pytest.mark.parametrize("first", ["f", "partials"])
     @pytest.mark.parametrize("name", ["grw_gauss", "separable_gauss", "additive"])
-    def test_f_and_the_partials_share_one_profile_pass(self, monkeypatch, name):
+    def test_f_and_the_partials_share_one_profile_pass(self, monkeypatch, name, first):
         model = default_model(2, resolution=8, twist=name)
         values = count_calls(monkeypatch, TimeProfile, "value")
         derivs = count_calls(monkeypatch, TimeProfile, "deriv")
         along = model.twist.along(0.4, model.fiber)
-        along.f, along.partials
+        for field in (first, {"f": "partials", "partials": "f"}[first]):
+            getattr(along, field)
         profiles = 2 if name == "additive" else 1  # g, and q for an additive twist
         assert (len(values), len(derivs)) == (profiles, 0)
         along.dt
         assert (len(values), len(derivs)) == (profiles, profiles)
+
+    @pytest.mark.parametrize("reads", [("f",), ("f", "partials"), ("partials", "f"),
+                                       ("f", "dt", "partials")])
+    @pytest.mark.parametrize("name", sorted(STANDARD_TWISTS))
+    def test_keeps_no_profiles_it_no_longer_needs(self, name, reads):
+        # the order-0 profiles live until f and every partial that reads
+        # them are kept, and a traveling phase is never kept: past its
+        # inputs and the grid's fiber factor, an evaluator holds its results
+        model = default_model(1, resolution=8, twist=name)
+        grid = model.fiber
+        along = model.twist.along(0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0]), grid)
+        for field in reads:
+            getattr(along, field)
+        family, expected = model.twist.family, set(reads)
+        if family in ("separable", "additive") and "partials" not in reads:
+            expected.add("_g_and_q")  # the partials will read them
+        if family == "traveling" and "partials" in reads:
+            expected.add("dt")  # its partial is d/dt f
+        assert set(vars(along)) - {"twist", "t", "grid", "_factor"} == expected
 
     def test_one_profile_pass_per_kit(self, monkeypatch):
         from twistbench import random_trig_graph
