@@ -486,7 +486,10 @@ def _warped_obstruction(kit, g):
 
 def area(graph):
     """Total area of the graph: sum of sqrt(det g) times the cell volume."""
-    kit = _kit(graph)
+    return _area(_kit(graph))
+
+
+def _area(kit):
     return float(np.sum(np.sqrt(kit.det_factored())) * kit.grid.cell_volume)
 
 

@@ -25,23 +25,26 @@ the stencil averaged over the lattice, inverted mode by mode with the FFT.
 The centred difference cannot see the means of the 2^e parity sublattices
 (e the number of even-sized axes), so the Jacobian can be near-null there:
 on the constant of a slice family, or on the constant and checkerboard of an
-expanding model with no solution.  Each Newton step measures J on those
-means, and when its smallest singular value falls far below the circulant
-symbol on every other mode the Krylov solve is gauge-fixed: it runs with
-the sublattice means projected out (deflation, Frank and Vuik, SIAM J. Sci.
-Comput. 2001).  When nearly all of the residual lies in those means, Newton
-hands over to the relaxation fallback, which alone moves them.
+expanding model with no solution.  Those means span the same space as the
+2^e parity characters W, the products of (-1)^x_a over subsets of the
+even-sized axes, which are Fourier modes.  Each Newton step measures
+E = W^T J W / N (N nodes), and when its smallest singular value falls far
+below the circulant symbol on every other mode the Krylov solve is
+gauge-fixed: it runs with the characters projected out (deflation, Frank
+and Vuik, SIAM J. Sci. Comput. 2001), and its preconditioner is the
+circulant inverse with their modes dropped.  When nearly all of the
+residual lies on the characters, Newton hands over to the relaxation
+fallback, which alone moves them.
 """
 
 import functools
 import itertools
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import svdvals
-from scipy.sparse import csc_array
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .config import SolveConfig
@@ -50,6 +53,7 @@ from .fiber_grid import component_sum
 from .graphs import (
     GraphField,
     _Kit,
+    _area,
     _kit,
     geometry_report,
     mean_curvature_from_laplacian,
@@ -210,9 +214,7 @@ class _Driver:
             "u_max": float(kit.u.max()),
             "dtf_H_min": float(product.min()),
             "dtf_H_max": float(product.max()),
-            "area": float(
-                np.sum(np.sqrt(kit.det_factored())) * kit.grid.cell_volume
-            ),
+            "area": _area(kit),
         }
         self.log.append(entry)
         self.step_count += 1
@@ -262,91 +264,50 @@ def _lattice_ball(dim, radius):
     return offsets
 
 
-def _periodic_neighbours(shape, radius, nodes=None):
-    """Flat indices of the nodes within L1 distance ``radius`` of each of
-    the flat ``nodes`` (default all) on the periodic lattice, the node
-    included; shape (len(nodes), K)."""
-    if nodes is None:
-        nodes = np.arange(int(np.prod(shape)))
-    index = np.array(np.unravel_index(nodes, shape))
-    offsets = _lattice_ball(len(shape), radius)
-    shifted = index[:, :, None] + offsets.T[:, None, :]
-    return np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
-
-
 @functools.lru_cache(maxsize=8)
 def _jacobian_pattern(shape):
-    """Rows of the residual Jacobian on ``shape``: rows[j, k] is the flat
-    index of node j plus the k-th offset of ``_lattice_ball(dim,
-    _RESIDUAL_REACH)``, the entries of column j (the stencil is symmetric)."""
-    rows = _periodic_neighbours(shape, _RESIDUAL_REACH)
+    """Sparsity pattern of the residual Jacobian on ``shape``, computed once
+    and kept read-only: row x has its entries at the columns rows[x, k], the
+    flat index of node x plus the k-th offset of ``_lattice_ball(dim,
+    _RESIDUAL_REACH)`` on the periodic lattice."""
+    index = np.indices(shape).reshape(len(shape), -1)
+    offsets = _lattice_ball(len(shape), _RESIDUAL_REACH)
+    shifted = index[:, :, None] + offsets.T[:, None, :]
+    rows = np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
     rows.flags.writeable = False
     return rows
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobian_layout(shape):
-    """What ``_jacobian`` reads of ``shape`` alone, kept read-only:
-    (index, gather).  ``index`` maps an offset tuple to its position k in
-    ``_lattice_ball(dim, _RESIDUAL_REACH)``.  ``gather`` holds flat indices
-    into a (K, nodes) array: entry [j, k] picks row k' at node j +
-    offsets[k], where offsets[k'] = -offsets[k]."""
-    rows = _jacobian_pattern(shape)
-    offsets = _lattice_ball(len(shape), _RESIDUAL_REACH)
-    index = {o: k for k, o in enumerate(map(tuple, offsets))}
-    opposite = np.array([index[tuple(-o)] for o in offsets])
-    gather = opposite * len(rows) + rows
-    gather.flags.writeable = False
-    return types.MappingProxyType(index), gather
+def _parity_basis(shape):
+    """Parity characters of ``shape`` along its e even-sized axes.
 
-
-@functools.lru_cache(maxsize=8)
-def _sublattices(shape):
-    """Parity sublattices of ``shape`` along its e even-sized axes.
-
-    Returns (labels, flips, modes).  labels[j] in [0, 2^e) is the class of
-    flat node j: its binary digits are the coordinates of j mod 2 on the
-    even-sized axes, in axis order.  flips[k] is the label of the k-th
-    offset of the residual stencil: wrapping keeps parity on even axes, so
-    the stencil entry k of column j lies in row class labels[j] ^ flips[k].
-    ``modes`` marks the rfftn modes the class indicators span, those with
-    wavenumber 0 or m/2 on every axis.  The centred difference annihilates
-    these modes, so they are where the wide-stencil Jacobian can be
-    near-null.  On an all-odd grid the one class is the whole lattice and
-    its indicator the constant.
+    Returns (W, modes), kept read-only.  W has shape (nodes, 2^e): column c
+    is the product of (-1)^x_a over the even-sized axes a whose bit is set
+    in c, in axis order, so column 0 is the constant and W^T W = nodes I.
+    W spans the indicators of the parity sublattices, on which the centred
+    difference, and so the wide-stencil Jacobian, can be near-null.
+    ``modes`` marks the rfftn modes of the columns, those with wavenumber 0
+    or m/2 on every axis.  On an all-odd grid W is the constant alone.
     """
-    dim = len(shape)
-    index = np.indices(shape).reshape(dim, -1)
-    labels = np.zeros(index.shape[1], dtype=np.intp)
+    index = np.indices(shape).reshape(len(shape), -1)
+    W = np.ones((index.shape[1], 1))
     for axis, m in enumerate(shape):
         if m % 2 == 0:
-            labels = 2 * labels + index[axis] % 2
-    # node 0 is in class 0, so the labels of its stencil are the flips
-    flips = labels[_periodic_neighbours(shape, _RESIDUAL_REACH, [0])[0]]
-    # a class indicator's spectrum is |class| on those modes and 0 elsewhere
-    spectrum = np.fft.rfftn((labels == 0).reshape(shape), axes=tuple(range(dim)))
-    modes = np.abs(spectrum) > 0.5
-    for array in (labels, flips, modes):
+            W = np.hstack([W, W * (-1.0) ** index[axis][:, None]])
+    waves = [np.arange(m) for m in shape[:-1]] + [np.arange(shape[-1] // 2 + 1)]
+    modes = functools.reduce(
+        np.multiply.outer, [(k == 0) | (2 * k == m) for k, m in zip(waves, shape)]
+    )
+    for array in (W, modes):
         array.flags.writeable = False
-    return labels, flips, modes
+    return W, modes
 
 
-def _coarse_operator(values, shape):
-    """E = Z^T J Z / |class|, Z the sublattice indicators, from the stencil
-    ``values`` of J.  Each even axis m is split into (m/2, 2), so summing
-    over every other axis gives each class's column sums per stencil offset
-    without an N x K temporary; the sum for offset k of class b lands in
-    row class b ^ flips[k]."""
-    _, flips, _ = _sublattices(shape)
-    split, outer = [], []
-    for m in shape:
-        outer.append(len(split))
-        split.extend((m // 2, 2) if m % 2 == 0 else (m,))
-    sums = values.reshape(*split, -1).sum(axis=tuple(outer)).reshape(-1, len(flips))
-    classes = np.arange(len(sums))[:, None]
-    coarse = np.zeros((len(sums), len(sums)))
-    np.add.at(coarse, (classes ^ flips, classes), sums)
-    return coarse / (len(values) // len(sums))
+def _parity_part(x, W):
+    """Orthogonal projection of the flat field x onto the span of W's
+    parity characters, W W^T x / nodes."""
+    return W @ (W.T @ x) / len(x)
 
 
 def _pointwise_residual(kit, target):
@@ -395,8 +356,9 @@ def _jacobian(driver, u):
     With dF and dP from ``_linearization`` and D_l the centred difference,
     J = S^-1 sum_i D_i S (dF_i,u + sum_l dF_i,p_l D_l) + dP_u + sum_l dP_p_l D_l,
     S = sqrt det g_F, assembled stencil by stencil.  Returns the matrix and
-    its stencil ``values``: values[j, k] is the entry of column j at the
-    k-th offset of ``_lattice_ball(dim, _RESIDUAL_REACH)`` from node j.
+    its stencil ``values``: values[k, x] is the derivative of R at node x in
+    u at node x plus the k-th offset of ``_lattice_ball(dim,
+    _RESIDUAL_REACH)``, the entry of row x at column rows[x, k].
     """
     grid = driver.model.fiber
     n = grid.dim
@@ -404,7 +366,7 @@ def _jacobian(driver, u):
     dF = dF.reshape(n + 1, u.size, n)
     dP = dP.reshape(n + 1, u.size)
     rows = _jacobian_pattern(u.shape)
-    index, gather = _jacobian_layout(u.shape)
+    index = {o: k for k, o in enumerate(map(tuple, _lattice_ball(n, _RESIDUAL_REACH)))}
     unit = np.eye(n, dtype=int)
     half = 0.5 / grid.spacing  # D_l u = half[l] (u(x + e_l) - u(x - e_l))
 
@@ -415,10 +377,9 @@ def _jacobian(driver, u):
             yield unit[l], half[l] * d[1 + l]
             yield -unit[l], -half[l] * d[1 + l]
 
-    # rowwise[k, x]: the derivative of R at node x in u at node x + offsets[k]
-    rowwise = np.zeros((len(index), u.size))
+    values = np.zeros((len(index), u.size))
     for offset, coefficient in stencil(dP):
-        rowwise[index[tuple(offset)]] += coefficient
+        values[index[tuple(offset)]] += coefficient
     sqrt_det = grid.sqrt_det.ravel()
     for i in range(n):
         for sign in (1, -1):
@@ -426,34 +387,33 @@ def _jacobian(driver, u):
             ahead = rows[:, index[tuple(out)]]  # node x + out
             weight = sign * half[i] * sqrt_det[ahead] / sqrt_det
             for offset, coefficient in stencil(dF[..., i]):
-                rowwise[index[tuple(out + offset)]] += weight * coefficient[ahead]
-    # column j holds R at node j + offsets[k], read at the opposite offset
-    values = rowwise.take(gather)
+                values[index[tuple(out + offset)]] += weight * coefficient[ahead]
     indptr = np.arange(0, rows.size + 1, rows.shape[1])
     # J owns copies of its data and indices: canonicalising J in place
     # (abs(J), sort_indices) would otherwise permute the stencil values and
     # write into the cached rows as well
-    J = csc_array((values.flatten(), rows.flatten(), indptr), shape=(u.size, u.size))
+    J = csr_array((values.T.flatten(), rows.flatten(), indptr), shape=(u.size, u.size))
     return J, values
 
 
 def _circulant_symbol(values, shape):
     """Symbol (rfftn) of the circulant nearest, in Frobenius norm, to the
-    Jacobian with stencil ``values``: averaging the stencil over columns
-    gives one coefficient per offset, placed at their wrapped offsets they
-    form the circulant's kernel, and its FFT is the symbol."""
-    offsets = _lattice_ball(len(shape), _RESIDUAL_REACH) % np.array(shape)
+    Jacobian with stencil ``values``: averaging the stencil over rows gives
+    one coefficient per offset o, the entry J[x, x + o] of the circulant,
+    which its kernel holds at -o; the kernel's FFT is the symbol."""
+    offsets = -_lattice_ball(len(shape), _RESIDUAL_REACH) % np.array(shape)
     kernel = np.zeros(shape)
-    kernel[tuple(offsets.T)] = values.mean(axis=0)
+    kernel[tuple(offsets.T)] = values.mean(axis=1)
     return np.fft.rfftn(kernel, axes=tuple(range(len(shape))))
 
 
-def _circulant_preconditioner(symbol, shape):
+def _circulant_preconditioner(symbol, shape, drop=None):
     """Inverse of the circulant with ``symbol`` (see ``_circulant_symbol``).
 
     It divides each Fourier mode by the symbol, except modes whose symbol is
     at round-off (the constant and grid-scale modes of a degenerate
-    problem), which pass unchanged.
+    problem), which pass unchanged, and the modes marked in ``drop``, which
+    it sets to zero.
     """
     axes = tuple(range(len(shape)))
     magnitude = np.abs(symbol)
@@ -461,6 +421,8 @@ def _circulant_preconditioner(symbol, shape):
 
     def apply(x):
         modes = np.fft.rfftn(x.reshape(shape), axes=axes) / symbol
+        if drop is not None:
+            modes[drop] = 0.0
         return np.fft.irfftn(modes, s=shape, axes=axes).ravel()
 
     size = math.prod(shape)
@@ -475,22 +437,25 @@ def _krylov_step(driver, u, R):
     (``_circulant_preconditioner``) as M.  lgmres stops on the true residual
     |R + J d| <= krylov_rtol |R|.
 
-    Each step first measures J on the coarse space of the parity
-    sublattices (``_sublattices``): E = Z^T J Z / |class|, Z the class
-    indicators.  When the smallest singular value of E is at most
-    ``_GAUGE_GATE`` times the smallest circulant-symbol magnitude over the
-    other Fourier modes, J is near-null on the sublattice means (a slice
-    family, or the constant/checkerboard pair of an expanding model), and
-    lgmres runs gauge-fixed instead (deflation, Frank and Vuik 2001): on
-    P J P with M -> P M P and right-hand side -P R, P projecting out the
-    sublattice means, and the direction is P d.  When |P R| <=
-    ``_GAUGE_HANDOVER`` |R| what remains of R is gauge motion, which no
-    gauge-fixed step can remove; the step returns None and the relaxation
-    fallback, the only thing that moves the mean, takes over.
+    Each step first measures J on the parity characters W
+    (``_parity_basis``), which span the indicators of the parity
+    sublattices: E = W^T J W / N, N the number of nodes.  When the smallest
+    singular value of E is at most ``_GAUGE_GATE`` times the smallest
+    circulant-symbol magnitude over the other Fourier modes, J is near-null
+    on the sublattice means (a slice family, or the constant/checkerboard
+    pair of an expanding model), and lgmres runs gauge-fixed instead
+    (deflation, Frank and Vuik 2001): on P J P with right-hand side -P R,
+    P x = x - W W^T x / N, and the direction is P d.  The characters are
+    Fourier modes, so P commutes with the circulant and P M P is M with
+    their modes dropped.  When |P R| <= ``_GAUGE_HANDOVER`` |R| what remains
+    of R is gauge motion, which no gauge-fixed step can remove; the step
+    returns None and the relaxation fallback, the only thing that moves the
+    mean, takes over.
 
     An ungated direction keeps only the common mean of the sublattice
-    means, P d + mean(d): the others are grid-scale modes that the centred
-    difference cannot see, and Newton must not inject them into u.
+    means: it is projected on every character but the constant.  The
+    others are grid-scale modes that the centred difference cannot see, and
+    Newton must not inject them into u.
 
     The lgmres exit info (0 = converged), the number of J products it made
     and the gauge ("none" or "sublattice") are kept on the driver for the
@@ -501,42 +466,33 @@ def _krylov_step(driver, u, R):
     rnorm = float(np.max(np.abs(R)))
     J, values = _jacobian(driver, u)
     symbol = _circulant_symbol(values, u.shape)
-    labels, _, modes = _sublattices(u.shape)
-    coarse = _coarse_operator(values, u.shape)
+    W, modes = _parity_basis(u.shape)
+    coarse = W.T @ (J @ W) / u.size
     # a non-finite stencil keeps the gate shut: the step is the ungated one
     gauge_fixed = bool(
         np.all(np.isfinite(coarse))
         and svdvals(coarse, check_finite=False)[-1]
         <= _GAUGE_GATE * np.abs(symbol)[~modes].min()
     )
-    classes = len(coarse)
+    dropped = W if gauge_fixed else W[:, 1:]
 
     def project(x):
-        means = np.bincount(labels, weights=x, minlength=classes) / (x.size // classes)
-        return x - means[labels]
+        return x - _parity_part(x, dropped)
+
+    rhs = project(-R.ravel()) if gauge_fixed else -R.ravel()
+    if gauge_fixed and float(np.max(np.abs(rhs))) <= _GAUGE_HANDOVER * rnorm:
+        driver.direction = {"fallback_reason": "gauge_handover"}
+        return None
 
     products = 0
 
     def product(x):
         nonlocal products
         products += 1
-        return J @ x
+        return project(J @ project(x)) if gauge_fixed else J @ x
 
     operator = LinearOperator(J.shape, matvec=product, dtype=J.dtype)
-    M = _circulant_preconditioner(symbol, u.shape)
-    rhs = -R.ravel()
-    if gauge_fixed:
-        rhs = project(rhs)
-        if float(np.max(np.abs(rhs))) <= _GAUGE_HANDOVER * rnorm:
-            driver.direction = {"fallback_reason": "gauge_handover"}
-            return None
-        operator = LinearOperator(
-            J.shape, matvec=lambda x: project(product(project(x))), dtype=J.dtype
-        )
-        circulant = M
-        M = LinearOperator(
-            J.shape, matvec=lambda x: project(circulant.matvec(project(x))), dtype=float
-        )
+    M = _circulant_preconditioner(symbol, u.shape, drop=modes if gauge_fixed else None)
 
     inner_m = 10
     maxiter = max(1, config.krylov_maxiter // inner_m)
@@ -559,7 +515,7 @@ def _krylov_step(driver, u, R):
     }
     if not np.all(np.isfinite(d)):
         return None
-    d = project(d) if gauge_fixed else project(d) + d.mean()
+    d = project(d)
     # trust region: never propose more than a quarter of the interval
     peak = float(np.max(np.abs(d)))
     cap = 0.25 * driver.span
@@ -650,12 +606,11 @@ def _fallback_sweeps(driver, kit, R, rnorm, state, reason):
 
 
 def _sublattice_spread(u):
-    """Largest class mean of u - mean(u) over the parity sublattices: the
+    """Largest class mean of u - mean(u) over the parity sublattices, the
+    part of u on the parity characters other than the constant: the
     grid-scale content of u that the centred difference cannot see."""
-    labels, _, _ = _sublattices(u.shape)
-    classes = int(labels.max()) + 1
-    sums = np.bincount(labels, weights=(u - u.mean()).ravel(), minlength=classes)
-    return float(np.max(np.abs(sums / (u.size // classes))))
+    W, _ = _parity_basis(u.shape)
+    return float(np.max(np.abs(_parity_part(u.ravel(), W[:, 1:]))))
 
 
 def _edge_margin(kit):

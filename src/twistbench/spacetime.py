@@ -238,6 +238,8 @@ class SpacetimeModel:
 
     def __post_init__(self):
         t_min, t_max = (float(v) for v in self.interval)
+        if not np.isfinite([t_min, t_max]).all():
+            raise ValueError("interval endpoints must be finite")
         if not t_min < t_max:
             raise ValueError("interval must satisfy t_min < t_max")
         object.__setattr__(self, "interval", (t_min, t_max))

@@ -780,6 +780,15 @@ class TestModelValidation:
                 TwistedFunction("pure_time", g=TimeProfile("gauss")),
             )
 
+    @pytest.mark.parametrize(
+        "interval", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1.0, np.nan)]
+    )
+    @pytest.mark.parametrize("g", [TimeProfile("constant", {"c": 1.0}), TimeProfile("exp")])
+    def test_interval_must_be_finite(self, interval, g):
+        # an infinite endpoint used to build, with NaN sample times
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            SpacetimeModel(interval, unit_torus(1, 64), TwistedFunction("pure_time", g=g))
+
 
 class TestKeptResults:
     """Results that depend on the model alone are computed on first use per

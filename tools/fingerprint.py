@@ -17,6 +17,12 @@ field in graph and pointwise form, both mean-curvature paths, the conformal
 and static-picture checks, ``classify``, ``is_grw``, ``dlog_dt_range``,
 five full solves, the positivity verdicts of adversarial twists and the
 CSV files the command line writes.  It takes a few seconds on one core.
+
+Each solve also gets a ``solve/<name>/decisions`` digest that holds no
+floats: the tag, the Newton iterations, the certificate reason and, per
+log entry, the phase, the gauge, whether lgmres converged and the
+fallback reason.  A change to the Newton step that moves results only by
+round-off changes the other ``solve/*`` digests but must leave these equal.
 """
 
 import argparse
@@ -148,6 +154,12 @@ def solve_results(tb, out):
         out[f"solve/{name}"] = digest([
             outcome.tag, outcome.residual_norm, outcome.iterations, outcome.certificate,
             outcome.diagnostics, outcome.log, None if outcome.graph is None else outcome.graph.u,
+        ])
+        # no floats: equal on a Newton-step change that moves only round-off
+        out[f"solve/{name}/decisions"] = digest([
+            outcome.tag, outcome.iterations, (outcome.certificate or {}).get("reason"),
+            [(e["phase"], e.get("gauge"), e.get("krylov_info") == 0, e.get("fallback_reason"))
+             for e in outcome.log],
         ])
         if outcome.report is not None:
             report = outcome.report
