@@ -375,15 +375,15 @@ class TestJacobian:
             symbol = solver_mod._circulant_symbol(values, shape)
             return solver_mod._circulant_preconditioner(symbol, shape).matvec(x)
 
-        Mx, Jx = preconditioned(), J @ x
+        Mx, dense = preconditioned(), J.toarray()
         abs(J)
         J.sort_indices()
         J.sum_duplicates()
         assert not np.shares_memory(J.data, values)
         assert np.array_equal(values, before)
         assert np.array_equal(preconditioned(), Mx)
-        # a row's sum follows its stored column order, which sorting changes
-        assert np.max(np.abs(J @ x - Jx)) <= 1e-14 * np.max(np.abs(Jx))
+        # no row holds a column twice, so sorting only permutes the entries
+        assert np.array_equal(J.toarray(), dense)
 
     @pytest.mark.parametrize("dim, m", [(1, 32), (2, 12), (3, 8)])
     def test_rows_hold_the_stencil_at_their_offsets(self, dim, m):
