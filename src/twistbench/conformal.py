@@ -164,19 +164,25 @@ def conformal_laplacian_check(h, phi, graph):
     restriction.  In dimension 2 the coupling drops and the two sides agree
     to roundoff; otherwise the defect decays at second order.
     """
-    kit = _kit(graph)
-    grid = kit.grid
-    h = grid.check_scalar(h, "h")
-    g1 = kit.metric()
-    phi_vals = phi.value(kit.u, grid)
-    g2 = np.exp(2.0 * phi_vals)[..., None, None] * g1
-    lhs = coordinate_laplacian(grid, g2, h)
+    return next(_conformal_laplacian_checks(h, (phi,), graph))
 
+
+def _conformal_laplacian_checks(h, factors, graph):
+    """``conformal_laplacian_check`` for each factor in turn, yielded one at
+    a time.  The kit, the induced metric g1 and the unrescaled Laplacian and
+    metric gradient of h depend on (graph, h) alone and are built once."""
+    grid = graph.grid
+    h = grid.check_scalar(h, "h")
+    g1 = _kit(graph).metric()
     # lap h and g^{-1}(d phi, d h) share one solve of g1 x = d h
     lap1, grad_h = _coordinate_laplacian(grid, g1, h)
-    pairing = component_sum(grid.partials(phi_vals) * grad_h)
-    rhs = np.exp(-2.0 * phi_vals) * (lap1 + (grid.dim - 2) * pairing)
-    return ConformalCheck(lhs=lhs, rhs=rhs)
+    for phi in factors:
+        phi_vals = phi.value(graph.u, grid)
+        # the rescaled metric is freed when its Laplacian returns
+        lhs = coordinate_laplacian(grid, np.exp(2.0 * phi_vals)[..., None, None] * g1, h)
+        pairing = component_sum(grid.partials(phi_vals) * grad_h)
+        rhs = np.exp(-2.0 * phi_vals) * (lap1 + (grid.dim - 2) * pairing)
+        yield ConformalCheck(lhs=lhs, rhs=rhs)
 
 
 @dataclass

@@ -493,16 +493,18 @@ def _area(kit):
     return float(np.sum(np.sqrt(kit.det_factored())) * kit.grid.cell_volume)
 
 
-def _area_of_values(model, values):
-    grid = model.fiber
-    f = model.twist.value(values, grid)
-    du = grid.partials(values)
-    grad_sq = component_sum(du * du / grid.metric_diag)
-    support = f * f - grad_sq
-    if np.any(support <= 0.0):
-        raise SpacelikeError("area evaluation left the spacelike regime")
-    dens = f ** (grid.dim - 1) * np.sqrt(support) * grid.sqrt_det
-    return float(np.sum(dens) * grid.cell_volume)
+def _area_density(f, du, metric_diag, sqrt_det, dim):
+    """Area density f^(n-1) sqrt(f^2 - |D u|^2) sqrt(det g_F) node by node,
+    and the mask of nodes where f^2 - |D u|^2 <= 0 (NaN density where it is
+    negative).
+
+    Every operation is pointwise, so a gather of nodes gets the bits the
+    whole grid has at them.
+    """
+    support = f * f - component_sum(du * du / metric_diag)
+    with np.errstate(invalid="ignore"):
+        density = f ** (dim - 1) * np.sqrt(support) * sqrt_det
+    return density, support <= 0.0
 
 
 @dataclass
@@ -522,13 +524,26 @@ def area_gradient_check(graph, count=20, seed=0, step=1e-5):
     functional gradient of the area sum; relative errors are measured
     against the largest sampled prediction.  The slice case
     d(area)/dt0 = sum n (d/dt log f) f^n sqrt(det g_F) h pins the sign.
+
+    Moving node x by +-step changes the area density only on x's window:
+    x itself, where f moves, and its 2n neighbours x +- e_i, whose centred
+    differences read u at x.  The density of u is computed once, and each
+    moved area recomputes it on the window alone: f at x from one twist
+    evaluation per sign with every sampled node moved (f is pointwise in
+    t), D u from the window's neighbours with x alone moved.  The sums stay
+    over the whole grid, the window's entries replaced: ``np.sum`` adds
+    pairwise over the grid, so a total rebuilt from a window-sized change
+    would round differently, and the differences of whole-grid sums are
+    bitwise those of two full area evaluations per node.  Raises
+    ``SpacelikeError`` if a moved copy leaves the spacelike regime.
     """
     kit = _kit(graph)
     grid = kit.grid
-    model = graph.model
+    n = kit.n
     rng = np.random.default_rng(seed)
     flat = rng.choice(grid.n_nodes, size=min(count, grid.n_nodes), replace=False)
-    nodes = [np.unravel_index(int(k), grid.shape) for k in flat]
+    centres = np.unravel_index(flat, grid.shape)
+    nodes = list(zip(*centres))
 
     predicted_field = (
         kit.n
@@ -537,15 +552,56 @@ def area_gradient_check(graph, count=20, seed=0, step=1e-5):
         * np.sqrt(kit.det_factored())
         * grid.cell_volume
     )
-    fd = np.empty(len(nodes))
-    predicted = np.empty(len(nodes))
-    for j, idx in enumerate(nodes):
-        up = graph.u.copy()
-        up[idx] += step
-        um = graph.u.copy()
-        um[idx] -= step
-        fd[j] = (_area_of_values(model, up) - _area_of_values(model, um)) / (2.0 * step)
-        predicted[j] = predicted_field[idx]
+    predicted = predicted_field[centres]
+
+    # the window of each sampled node, (count, 2n + 1) lattice points: the
+    # node, then its neighbours +e_0 .. +e_(n-1), then -e_0 .. -e_(n-1)
+    unit = np.eye(n, dtype=int)
+    lattice = np.stack(centres, axis=-1)[:, None, :] + np.concatenate(
+        [np.zeros((1, n), dtype=int), unit, -unit]
+    )
+
+    def at(points):
+        """Index tuple of lattice points, wrapped onto the torus."""
+        return tuple(np.moveaxis(points % grid.shape, -1, 0))
+
+    window = at(lattice)
+    # u at the neighbours each window node's centred differences read
+    behind = [graph.u[at(lattice - unit[i])] for i in range(n)]
+    ahead = [graph.u[at(lattice + unit[i])] for i in range(n)]
+
+    density, outside = _area_density(kit.f, kit.du, grid.metric_diag, grid.sqrt_det, n)
+    metric_diag, sqrt_det = grid.metric_diag[window], grid.sqrt_det[window]
+    f = kit.f[window]
+    du = np.empty(f.shape + (n,))
+    # a moved copy keeps u's nodes outside the window as they are
+    left_regime = np.count_nonzero(outside) > np.sum(outside[window], axis=-1)
+    moved_densities = []
+    for delta in (step, -step):
+        moved = graph.u.copy()
+        moved[centres] += delta
+        moved_centres = moved[centres]
+        f[:, 0] = graph.model.twist.value(moved, grid)[centres]
+        for i in range(n):
+            # x - e_i reads x ahead of it, x + e_i reads x behind it
+            ahead[i][:, n + 1 + i] = moved_centres
+            behind[i][:, 1 + i] = moved_centres
+            du[..., i] = (ahead[i] - behind[i]) / (2.0 * grid.spacing[i])
+        moved_density, moved_outside = _area_density(f, du, metric_diag, sqrt_det, n)
+        left_regime |= moved_outside.any(axis=-1)
+        moved_densities.append(moved_density)
+    if left_regime.any():
+        raise SpacelikeError("area evaluation left the spacelike regime")
+
+    work = density.copy()
+    areas = np.empty((2, len(nodes)))
+    for j in range(len(nodes)):
+        cells = tuple(axis[j] for axis in window)
+        for k, moved_density in enumerate(moved_densities):
+            work[cells] = moved_density[j]
+            areas[k, j] = np.sum(work) * grid.cell_volume
+        work[cells] = density[cells]
+    fd = (areas[0] - areas[1]) / (2.0 * step)
     scale = float(np.max(np.abs(predicted)))
     rel = np.abs(fd - predicted) / max(scale, 1e-300)
     return AreaGradientCheck(nodes=nodes, fd_gradient=fd, predicted=predicted, rel_error=rel)

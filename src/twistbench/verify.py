@@ -14,7 +14,7 @@ import numpy as np
 
 from .conformal import (
     ConformalFactor,
-    conformal_laplacian_check,
+    _conformal_laplacian_checks,
     static_laplacian_check,
 )
 from .graphs import (
@@ -114,13 +114,12 @@ def _laplacian_tau_two_path(ctx):
 
 
 def _conformal_laplacian(ctx):
-    defects = []
     factors = ctx.conformal_catalog()
-    for j, g in enumerate(ctx.graphs):
-        h = ctx.random_scalar(j)
-        for phi in factors:
-            defects.append(conformal_laplacian_check(h, phi, g).max_defect)
-    return defects
+    return [
+        check.max_defect
+        for j, g in enumerate(ctx.graphs)
+        for check in _conformal_laplacian_checks(ctx.random_scalar(j), factors, g)
+    ]
 
 
 def _static_main(ctx):
@@ -142,8 +141,10 @@ def _product_rule(ctx):
     for j in range(len(ctx.graphs)):
         r = 1.5 + ctx.random_scalar(101 + j)
         u = ctx.random_scalar(211 + j)
-        lhs = grid.divergence(r[..., None] * grid.gradient(u))
-        rhs = grid.inner(grid.gradient(r), grid.gradient(u)) + r * grid.laplacian(u)
+        grad_u = grid.gradient(u)
+        lhs = grid.divergence(r[..., None] * grad_u)
+        # divergence(grad_u) is grid.laplacian(u)
+        rhs = grid.inner(grid.gradient(r), grad_u) + r * grid.divergence(grad_u)
         defects.append(float(np.max(np.abs(lhs - rhs))))
     return defects
 

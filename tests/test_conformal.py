@@ -18,6 +18,7 @@ from twistbench import (
     transform_mean_curvature,
 )
 
+from twistbench.conformal import _conformal_laplacian_checks
 from twistbench.fiber_grid import component_sum
 from twistbench.graphs import _Kit, _kit, _small_det, _small_solve, coordinate_laplacian
 
@@ -121,7 +122,9 @@ class TestConformalLaplacian:
         grid = model.fiber
         h = random_trig_field(grid, seed=10)
         g1 = _kit(graph).metric()
-        for phi in catalog(model):
+        factors = catalog(model)
+        loop = list(_conformal_laplacian_checks(h, factors, graph))
+        for phi, from_loop in zip(factors, loop, strict=True):
             phi_vals = phi.value(graph.u, grid)
             g2 = np.exp(2.0 * phi_vals)[..., None, None] * g1
             x = _small_solve(g1, grid.partials(h), _small_det(g1))
@@ -132,6 +135,9 @@ class TestConformalLaplacian:
             check = conformal_laplacian_check(h, phi, graph)
             assert_bitwise(check.lhs, coordinate_laplacian(grid, g2, h))
             assert_bitwise(check.rhs, rhs)
+            # the factor loop's entry is the one-factor check
+            assert_bitwise(from_loop.lhs, check.lhs)
+            assert_bitwise(from_loop.rhs, check.rhs)
 
 
 class TestStaticPicture:

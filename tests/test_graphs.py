@@ -29,6 +29,7 @@ from twistbench import (
     unit_normal,
     warped_obstruction,
 )
+from twistbench.fiber_grid import component_sum
 from twistbench.graphs import (
     _Kit,
     _kit,
@@ -533,6 +534,65 @@ class TestArea:
             graph = random_trig_graph(model, seed=13 + dim, amplitude=0.1)
             check = area_gradient_check(graph, count=20, seed=1)
             assert np.max(check.rel_error) <= 1e-5
+
+
+def full_grid_area(model, values):
+    """The area sum of heights ``values`` by the whole-grid formula, the
+    reference for the windowed differences of ``area_gradient_check``."""
+    grid = model.fiber
+    f = model.twist.value(values, grid)
+    du = grid.partials(values)
+    grad_sq = component_sum(du * du / grid.metric_diag)
+    support = f * f - grad_sq
+    if np.any(support <= 0.0):
+        raise SpacelikeError("area evaluation left the spacelike regime")
+    dens = f ** (grid.dim - 1) * np.sqrt(support) * grid.sqrt_det
+    return float(np.sum(dens) * grid.cell_volume)
+
+
+def full_grid_differences(graph, nodes, step=1e-5):
+    """Centred differences of the area from two whole-grid areas per node."""
+    fd = np.empty(len(nodes))
+    for j, idx in enumerate(nodes):
+        up = graph.u.copy()
+        up[idx] += step
+        um = graph.u.copy()
+        um[idx] -= step
+        fd[j] = (full_grid_area(graph.model, up) - full_grid_area(graph.model, um)) / (2.0 * step)
+    return fd
+
+
+AREA_CASES = [
+    (dim, twist, curved)
+    for dim in (1, 2, 3)
+    for twist in ("grw_exp", "grw_gauss", "separable_gauss", "separable_exp", "additive",
+                  "traveling")
+    if twist != "traveling" or dim == 1
+    for curved in (False, True)
+]
+
+
+class TestAreaWindows:
+    @pytest.mark.parametrize("dim, twist, curved", AREA_CASES)
+    def test_windowed_differences_are_the_full_grid_ones_bitwise(self, dim, twist, curved):
+        model = default_model(dim, resolution=8, twist=twist, curved=curved)
+        graph = random_trig_graph(model, seed=dim, amplitude=0.05)
+        # 20 nodes, then every node, so that all windows overlap
+        for count in (20, model.fiber.n_nodes):
+            check = area_gradient_check(graph, count=count, seed=5)
+            assert len(check.nodes) == min(count, model.fiber.n_nodes)
+            assert_bitwise(check.fd_gradient, full_grid_differences(graph, check.nodes))
+
+    def test_a_moved_node_that_leaves_the_spacelike_regime_raises(self):
+        model = default_model(1, resolution=16, twist="separable_gauss")
+        graph = random_trig_graph(model, seed=2, amplitude=0.1)
+        nodes = area_gradient_check(graph, count=1, seed=0).nodes
+        # a centred difference next to the moved node shifts by step / (2 h)
+        step = 0.5
+        with pytest.raises(SpacelikeError, match="^area evaluation left the spacelike regime$"):
+            full_grid_differences(graph, nodes, step)
+        with pytest.raises(SpacelikeError, match="^area evaluation left the spacelike regime$"):
+            area_gradient_check(graph, count=1, seed=0, step=step)
 
 
 class TestSliceConditions:

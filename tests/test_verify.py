@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twistbench import FiberGrid, TwistedFunction, conformal, default_model, graphs, verify
+from twistbench.initializers import corpus_graphs
 from twistbench.verify import (
     DEFAULT_THRESHOLDS,
     IDENTITY_KINDS,
@@ -147,6 +148,9 @@ class TestVerifyPathCounts:
         assert calls["static_laplacian_check"] == 5      # once per corpus graph
         suite_laplacians = calls["coordinate_laplacian"]
         suite_values = calls["value"]
+        # measured 20: 2 per area-variation check, the rest for the conformal
+        # factors; 210 when each moved copy of the area check took its own
+        assert suite_values <= 20
         suite_rates = calls["dt"]
         run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
         assert calls["det"] == 0 and calls["solve"] == 0
@@ -165,6 +169,50 @@ class TestVerifyPathCounts:
         # ran its own check
         assert suite_laplacians <= 35
         assert calls["coordinate_laplacian"] <= 38
+
+    def test_area_check_evaluates_the_twist_once_per_sign(self, monkeypatch):
+        calls = {"value": 0}
+        self.counting(monkeypatch, TwistedFunction, "value", calls)
+        model = default_model(3, resolution=16, twist="separable_gauss")
+        graph = corpus_graphs(model, count=1)[0]
+        for count in (20, model.fiber.n_nodes):
+            calls["value"] = 0
+            graphs.area_gradient_check(graph, count=count)
+            # f at every sampled node moved by +step, then by -step; the base
+            # reads the kit's f: 40 for count=20 with a twist call per area
+            assert calls["value"] == 2
+
+    def test_one_kit_per_graph_for_the_conformal_law(self, monkeypatch):
+        model = default_model(3, resolution=16, twist="separable_gauss")
+        ctx = verify._Context(model=model, graphs=corpus_graphs(model, count=2), seed0=100)
+        calls = {"__init__": 0}
+        self.counting(monkeypatch, graphs._Kit, "__init__", calls)
+        verify._conformal_laplacian(ctx)
+        # one per catalog factor (4 a graph) when each check built its own
+        assert calls["__init__"] == len(ctx.graphs)
+
+    # 32^3, one corpus graph, measured after a first call has sampled the
+    # twist's fiber factor: 5.27 MB for the area check, 6.56 MB with two
+    # full-grid areas per sampled node; 9.70 MB for the conformal law,
+    # 11.02 MB with a kit, g1 and unrescaled Laplacian per factor
+    @pytest.mark.parametrize("identity, ceiling", [("area", 5.6e6), ("conformal", 10.2e6)])
+    def test_area_and_conformal_memory(self, identity, ceiling):
+        model = default_model(3, resolution=32, twist="separable_gauss")
+        ctx = verify._Context(model=model, graphs=corpus_graphs(model, count=1), seed0=100)
+        if identity == "area":
+            def check():
+                graphs.area_gradient_check(ctx.graphs[0], count=20, seed=100)
+        else:
+            def check():
+                verify._conformal_laplacian(ctx)
+        check()
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling
 
     def test_study_memory(self):
         # 8^3 -> 32^3: measured 9.19 MB with deferred twist derivatives,

@@ -14,7 +14,8 @@ by ``repr``.
 The matrix covers the twist evaluators (6 twists, fiber dimensions 1-3,
 flat and curved fibers, scalar, per-node and blocked times), every kit
 field in graph and pointwise form, both mean-curvature paths, the conformal
-and static-picture checks, ``classify``, ``is_grw``, ``dlog_dt_range``,
+and static-picture checks, the area's first-variation check on 20 sampled
+nodes and on every node, ``classify``, ``is_grw``, ``dlog_dt_range``,
 five full solves, the positivity verdicts of adversarial twists and the
 CSV files the command line writes.  It takes a few seconds on one core.
 
@@ -138,6 +139,18 @@ def kit_results(tb, out):
             ])
 
 
+def area_results(tb, out):
+    """The first-variation check on 20 sampled nodes and on every node."""
+    for twist, dim, curved in _cases():
+        model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
+        graph = tb.random_trig_graph(model, seed=dim, amplitude=0.05)
+        key = f"area_gradient/{twist}/d{dim}/{'curved' if curved else 'flat'}"
+        for count in (20, model.fiber.n_nodes):
+            check = tb.area_gradient_check(graph, count=count, seed=dim)
+            for name in ("nodes", "fd_gradient", "predicted", "rel_error"):
+                out[f"{key}/count{count}/{name}"] = digest(getattr(check, name))
+
+
 def solve_results(tb, out):
     refuse = tb.default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
     runs = {  # model, initializer, options
@@ -234,7 +247,9 @@ def main(argv=None):
     import twistbench as tb
 
     out = {}
-    for part in (twist_results, kit_results, solve_results, positivity_results, csv_results):
+    parts = (twist_results, kit_results, area_results, solve_results, positivity_results,
+             csv_results)
+    for part in parts:
         part(tb, out)
     text = json.dumps(out, indent=1, sort_keys=True) + "\n"
     if args.out is None:
