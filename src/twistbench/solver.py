@@ -1,11 +1,14 @@
 """Prescribed-mean-curvature solver on the closed fiber.
 
-Solves H[u] = H0 (maximal for H0 = 0) with a damped Newton-Krylov outer
-loop, a pseudo-transient relaxation fallback for poor initializers, and two
-kinds of non-existence reporting: an analytic bound certificate from the
-extrema of d/dt log f, and a drift diagnostic when the relaxed iterate runs
-away toward an interval endpoint.  Converged outcomes are re-verified
-through both mean-curvature code paths before being reported.
+Solves H[u] = H0 (maximal for H0 = 0) with damped Newton-Krylov steps, a
+pseudo-transient relaxation fallback for poor initializers, and two kinds
+of non-existence reporting: an analytic bound certificate from the extrema
+of d/dt log f, and a drift diagnostic when the relaxed iterate runs away
+toward an interval endpoint, its mean moving by more than round-off.  The
+solve is one loop that takes one step per pass; a failed Newton step hands
+the next ``fallback_chunk`` passes to relaxation sweeps, and both step
+kinds backtrack on the same clipped trial points.  Converged outcomes are
+re-verified through both mean-curvature code paths before being reported.
 
 Newton directions come from lgmres on the assembled sparse Jacobian.  The
 residual is in divergence form, R = S^-1 sum_i D_i(S F_i) + P with
@@ -78,9 +81,10 @@ _STEP_ERRORS = (SpacelikeError, DomainError, np.linalg.LinAlgError)
 # the residual at a node reads u on the L1 ball of this radius around it
 _RESIDUAL_REACH = 2
 
-# the line search shrinks its step by this factor, down to this step
-_LINESEARCH_FACTOR = 0.5
-_MIN_STEP = 1e-8
+# A monotone drift must move the mean height by more than this fraction of
+# the interval over the window.  Round-off creep on the additive 16^2 and 16^3
+# maximal solves moved it 2e-15-1.4e-13, genuine drifts 9.8e-5-2.4e-2.
+_DRIFT_FLOOR = 1e-6
 
 # A converged u is rejected when a class mean of u - mean(u) over the parity
 # sublattices exceeds this bound times 1 + max|u|: a grid-scale mode that the
@@ -224,10 +228,12 @@ class _Driver:
         """Detect a runaway toward an interval endpoint.
 
         Fires when, over a full drift window of fallback sweeps, the mean
-        height moves monotonically toward an endpoint (or sits pinned next
-        to one) while the residual stays large and essentially stagnant.
-        The stagnation clause keeps legitimate wall-hugging convergence
-        (where the residual is still dropping) from being misread.
+        height moves monotonically toward an endpoint, by more than
+        ``_DRIFT_FLOOR`` times the interval so round-off creep does not
+        count (or sits pinned next to one), while the residual stays large
+        and essentially stagnant.  The stagnation clause keeps legitimate
+        wall-hugging convergence (where the residual is still dropping)
+        from being misread.
         """
         cfg = self.config
         self.drift_history.append((mean, rnorm))
@@ -245,9 +251,10 @@ class _Driver:
         t_min, t_max = self.model.interval
         near_hi = bool(np.all(np.abs(means - t_max) <= 0.02 * self.span))
         near_lo = bool(np.all(np.abs(means - t_min) <= 0.02 * self.span))
-        if bool(np.all(diffs > 0)) or near_hi:
+        moved = abs(means[-1] - means[0]) > _DRIFT_FLOOR * self.span
+        if (moved and bool(np.all(diffs > 0))) or near_hi:
             return t_max
-        if bool(np.all(diffs < 0)) or near_lo:
+        if (moved and bool(np.all(diffs < 0))) or near_lo:
             return t_min
         return None
 
@@ -524,85 +531,50 @@ def _krylov_step(driver, u, R):
     return d.reshape(u.shape)
 
 
-def _line_search(driver, u, R, rnorm, direction):
-    """Backtracking step on the residual sup norm with safeguards.
-
-    Candidates are clipped into the interval box (projected Newton), so a
-    direction with a large admissible part is not wasted when some nodes
-    would overshoot the margin.
-    """
-    lam = 1.0
-    while lam >= _MIN_STEP:
-        trial = driver.trial(np.clip(u + lam * direction, driver.lo, driver.hi))
+def _backtrack(driver, u, direction, step, accept, tries):
+    """Try ``u + step direction`` clipped into the interval box, halving the
+    step up to ``tries`` times until a trial point passes ``accept(rnorm,
+    step)``.  Returns (kit, R, rnorm, step) of the accepted trial, or None."""
+    for _ in range(tries):
+        trial = driver.trial(np.clip(u + step * direction, driver.lo, driver.hi))
         if trial is not None:
-            kit, R_new = trial
-            rnorm_new = float(np.max(np.abs(R_new)))
-            if rnorm_new <= (1.0 - 1e-4 * lam) * rnorm:
-                return kit, R_new, rnorm_new, lam
-        lam *= _LINESEARCH_FACTOR
+            kit, R = trial
+            rnorm = float(np.max(np.abs(R)))
+            if accept(rnorm, step):
+                return kit, R, rnorm, step
+        step *= 0.5
     return None
 
 
-def _stable_pseudo_time_step(kit):
-    """Explicit-Euler stability bound for the relaxation flow.
+def _line_search(driver, u, R, rnorm, direction):
+    """Backtracking Newton step on the residual sup norm: steps 1 down to
+    2^-26, accepted on sufficient decrease.  Candidates are clipped into the
+    interval box (projected Newton), so a direction with a large admissible
+    part is not wasted when some nodes would overshoot the margin."""
+    return _backtrack(driver, u, direction, 1.0,
+                      lambda r, lam: r <= (1.0 - 1e-4 * lam) * rnorm, 27)
 
-    The flow's stiffest part is the divergence term of the curvature; its
-    diagonal scales like cosh(theta) rho / n times sum_i 1/(G_i h_i^2), so
-    the step is capped by the reciprocal of the worst node.
+
+def _relaxation_step(driver, kit, rnorm, ds):
+    """One pseudo-transient relaxation sweep u <- u + ds cosh(theta) (H - target).
+
+    The flow follows the first variation of the area, so in a transition
+    model accepted sweeps climb toward the maximal slice.  The step is 1.25
+    times the last accepted ``ds``, capped at a move of 2% of the interval
+    and at the explicit-Euler bound of the stiffest part, the divergence
+    term, whose diagonal scales like cosh(theta) rho / n sum_i 1/(G_i h_i^2);
+    it is halved, 16 tries at most, while the residual grows by over 5%.
+    Returns (kit, R, rnorm, ds) of the accepted sweep, or None.
     """
+    flow = kit.cosh * (kit.H - _target_field(kit, driver.config.target))
+    peak = float(np.max(np.abs(flow)))
+    if peak == 0.0:
+        return None
     grid = kit.grid
     stencil = component_sum(1.0 / (grid.metric_diag * grid.spacing**2))
-    lam = float(np.max(kit.cosh * kit.rho * stencil)) / kit.n
-    return 0.9 / lam
-
-
-def _fallback_sweeps(driver, kit, R, rnorm, state, reason):
-    """Pseudo-transient relaxation u <- u + ds cosh(theta) (H - target).
-
-    The step follows the first variation of the area, so in a transition
-    model accepted sweeps climb toward the maximal slice; a persistent
-    monotone drift of the mean height instead triggers the drift diagnostic.
-    Steps are capped at the explicit stability bound and rejected (with ds
-    halved) if they inflate the residual.  The flow is read from the
-    iterate's kit; an accepted trial point's kit becomes the next iterate.
-    The first sweep's log entry carries ``reason`` as its
-    ``fallback_reason``.  Returns (kit, R, rnorm, drift_endpoint_or_None).
-    """
-    config = driver.config
-    for _ in range(config.fallback_chunk):
-        if state["sweeps"] >= config.fallback_max_sweeps or rnorm <= config.residual_tol:
-            break
-        flow = kit.cosh * (kit.H - _target_field(kit, config.target))
-        peak = float(np.max(np.abs(flow)))
-        if peak == 0.0:
-            break
-        ds = min(
-            state["ds"] * 1.25,
-            _stable_pseudo_time_step(kit),
-            0.02 * driver.span / peak,
-        )
-        accepted = None
-        for _ in range(16):
-            trial = driver.trial(np.clip(kit.u + ds * flow, driver.lo, driver.hi))
-            if trial is not None:
-                rnorm_new = float(np.max(np.abs(trial[1])))
-                if rnorm_new <= 1.05 * rnorm:
-                    accepted = (*trial, rnorm_new)
-                    break
-            ds *= 0.5
-        if accepted is None:
-            break
-        state["ds"] = ds
-        kit, R, rnorm = accepted
-        state["sweeps"] += 1
-        entry = driver.record("fallback", kit, rnorm, ds)
-        if reason is not None:
-            entry["fallback_reason"] = reason
-            reason = None
-        endpoint = driver.update_drift(float(kit.u.mean()), rnorm)
-        if endpoint is not None:
-            return kit, R, rnorm, endpoint
-    return kit, R, rnorm, None
+    stable = 0.9 / (float(np.max(kit.cosh * kit.rho * stencil)) / kit.n)
+    ds = min(ds * 1.25, stable, 0.02 * driver.span / peak)
+    return _backtrack(driver, kit.u, flow, ds, lambda r, _: r <= 1.05 * rnorm, 16)
 
 
 def _sublattice_spread(u):
@@ -670,7 +642,10 @@ def _verify_converged(driver, kit, rnorm):
 
 
 def solve(model, config):
-    """Run the damped Newton-Krylov loop with relaxation fallback."""
+    """Run the damped Newton-Krylov loop with relaxation fallback, one step
+    per pass: a failed Newton step hands the next ``fallback_chunk`` passes
+    to relaxation sweeps, and the chunk ends early when a sweep is refused
+    or the sweep budget is spent."""
     driver = _Driver(model, config)
     graph0 = resolve_initializer(model, config.initial)
     # resolve_initializer admits any interval-valid field; the kit raises
@@ -682,94 +657,84 @@ def solve(model, config):
             model, config.target, t_samples=config.certificate_samples
         )
         if certificate is not None:
-            return SolveOutcome(
-                tag="nonexistence",
-                certificate=certificate,
-                log=driver.log,
-            )
+            return SolveOutcome(tag="nonexistence", certificate=certificate, log=driver.log)
 
     R = _residual(kit, config.target)
     rnorm = float(np.max(np.abs(R)))
     driver.record("init", kit, rnorm, 0.0)
-
-    newton_iters = 0
-    state = {"sweeps": 0, "ds": 1e-2 * driver.span}
+    newton_iters = sweeps = relax = 0
+    ds = 1e-2 * driver.span
     best_rnorm = rnorm
+    reason = None  # fallback_reason of the chunk's first accepted sweep
 
-    while True:
-        if rnorm <= config.residual_tol:
-            failure, graph, diagnostics = _verify_converged(driver, kit, rnorm)
-            diagnostics["target"] = config.target
-            if failure is None:
-                return SolveOutcome(
-                    tag="converged",
-                    graph=graph,
-                    residual_norm=rnorm,
-                    iterations=newton_iters,
-                    report=geometry_report(graph),
-                    diagnostics=diagnostics,
-                    log=driver.log,
+    def outcome(tag, **fields):
+        return SolveOutcome(
+            tag=tag, residual_norm=rnorm, iterations=newton_iters, log=driver.log, **fields
+        )
+
+    def not_converged(diagnostics, failure):
+        diagnostics["failure"] = failure
+        return outcome("not_converged", diagnostics=diagnostics)
+
+    # written as "not <=" so a NaN residual keeps iterating, as it never passes
+    while not rnorm <= config.residual_tol:
+        if relax and sweeps < config.fallback_max_sweeps:
+            swept = _relaxation_step(driver, kit, rnorm, ds)
+            if swept is None:
+                relax = 0
+                continue
+            kit, R, rnorm, ds = swept
+            sweeps += 1
+            relax -= 1
+            entry = driver.record("fallback", kit, rnorm, ds)
+            if reason is not None:
+                entry["fallback_reason"], reason = reason, None
+            endpoint = driver.update_drift(float(kit.u.mean()), rnorm)
+            if endpoint is not None:
+                return outcome(
+                    "nonexistence",
+                    certificate={
+                        "reason": "drift",
+                        "endpoint": float(endpoint),
+                        "consecutive_sweeps": int(config.drift_window),
+                        "residual_inf": rnorm,
+                        "note": (
+                            "heuristic diagnostic: the relaxed iterate drifted "
+                            "monotonically toward an interval endpoint while the "
+                            "residual stayed large; not an analytic proof"
+                        ),
+                    },
+                    diagnostics={"u_mean": float(kit.u.mean())},
                 )
-            diagnostics["failure"] = failure
-            return SolveOutcome(
-                tag="not_converged",
-                residual_norm=rnorm,
-                iterations=newton_iters,
-                diagnostics=diagnostics,
-                log=driver.log,
-            )
+            continue
 
-        if newton_iters >= config.max_newton_iters or state["sweeps"] >= config.fallback_max_sweeps:
-            return SolveOutcome(
-                tag="not_converged",
-                residual_norm=rnorm,
-                iterations=newton_iters,
-                diagnostics={
-                    "best_residual": best_rnorm,
-                    "newton_iters": newton_iters,
-                    "fallback_sweeps": state["sweeps"],
-                    "failure": "iteration budget exhausted",
-                },
-                log=driver.log,
+        best_rnorm = min(best_rnorm, rnorm)
+        if newton_iters >= config.max_newton_iters or sweeps >= config.fallback_max_sweeps:
+            return not_converged(
+                {"best_residual": best_rnorm, "newton_iters": newton_iters,
+                 "fallback_sweeps": sweeps},
+                "iteration budget exhausted",
             )
-
         newton_iters += 1
         direction = _krylov_step(driver, kit.u, R)
         stepped = None
         if direction is not None:
             stepped = _line_search(driver, kit.u, R, rnorm, direction)
-        if stepped is not None:
-            kit, R, rnorm, lam = stepped
-            best_rnorm = min(best_rnorm, rnorm)
-            entry = driver.record("newton", kit, rnorm, lam)
-            entry.update(driver.direction)
+        if stepped is None:
+            relax = config.fallback_chunk
+            reason = ("line_search" if direction is not None
+                      else driver.direction.get("fallback_reason", "no_direction"))
             continue
+        kit, R, rnorm, lam = stepped
+        driver.record("newton", kit, rnorm, lam).update(driver.direction)
 
-        if direction is not None:
-            reason = "line_search"
-        else:
-            reason = driver.direction.get("fallback_reason", "no_direction")
-        kit, R, rnorm, endpoint = _fallback_sweeps(driver, kit, R, rnorm, state, reason)
-        best_rnorm = min(best_rnorm, rnorm)
-        if endpoint is not None:
-            return SolveOutcome(
-                tag="nonexistence",
-                residual_norm=rnorm,
-                iterations=newton_iters,
-                certificate={
-                    "reason": "drift",
-                    "endpoint": float(endpoint),
-                    "consecutive_sweeps": int(config.drift_window),
-                    "residual_inf": rnorm,
-                    "note": (
-                        "heuristic diagnostic: the relaxed iterate drifted "
-                        "monotonically toward an interval endpoint while the "
-                        "residual stayed large; not an analytic proof"
-                    ),
-                },
-                diagnostics={"u_mean": float(kit.u.mean())},
-                log=driver.log,
-            )
+    failure, graph, diagnostics = _verify_converged(driver, kit, rnorm)
+    diagnostics["target"] = config.target
+    if failure is not None:
+        return not_converged(diagnostics, failure)
+    return outcome(
+        "converged", graph=graph, report=geometry_report(graph), diagnostics=diagnostics
+    )
 
 
 @dataclass

@@ -321,6 +321,106 @@ class TestSolve:
         assert all(e["dtf_H_min"] >= -1e-10 for e in fallback)
 
 
+class TestOneLoop:
+    """One step per pass: Newton steps, and chunks of relaxation sweeps after
+    a failed one, both backtracking through ``_backtrack``."""
+
+    def refusing_driver(self, model):
+        driver = solver_mod._Driver(model, SolveConfig())
+        tried = []
+        driver.trial = lambda values: tried.append(values) or None
+        return driver, tried
+
+    def test_line_search_tries_27_steps_from_1_to_2_pow_minus_26(self):
+        model = transition_model()
+        driver, tried = self.refusing_driver(model)
+        u = np.zeros(model.fiber.shape)
+        direction = np.full(model.fiber.shape, 0.1)
+        assert solver_mod._line_search(driver, u, u, 1.0, direction) is None
+        assert [float(t[0]) for t in tried] == [0.1 * 0.5**k for k in range(27)]
+
+    def test_relaxation_sweep_tries_16_steps(self):
+        model = transition_model()
+        driver, tried = self.refusing_driver(model)
+        kit = graphs_mod._kit(random_trig_graph(model, seed=6, amplitude=0.2))
+        assert solver_mod._relaxation_step(driver, kit, 1.0, 1e-2) is None
+        assert len(tried) == 16
+
+    def test_a_chunk_after_the_last_newton_attempt_still_runs(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_krylov_step", lambda driver, u, R: None)
+        model = transition_model()
+        cfg = SolveConfig(
+            target=0.0,
+            initial={"kind": "random_trig", "seed": 6, "amplitude": 0.2, "center": 0.4},
+            max_newton_iters=1,
+            fallback_chunk=7,
+        )
+        outcome = solve(model, cfg)
+        assert outcome.tag == "not_converged"
+        assert outcome.diagnostics["failure"] == "iteration budget exhausted"
+        assert outcome.diagnostics["newton_iters"] == 1
+        assert outcome.diagnostics["fallback_sweeps"] == 7
+        assert [e["phase"] for e in outcome.log] == ["init"] + ["fallback"] * 7
+
+    def test_the_sweep_budget_ends_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_krylov_step", lambda driver, u, R: None)
+        model = transition_model()
+        cfg = SolveConfig(
+            target=0.0,
+            initial={"kind": "random_trig", "seed": 6, "amplitude": 0.2, "center": 0.4},
+            fallback_chunk=5,
+            fallback_max_sweeps=12,
+        )
+        outcome = solve(model, cfg)
+        assert outcome.diagnostics["failure"] == "iteration budget exhausted"
+        assert outcome.diagnostics["newton_iters"] == 3
+        fallback = [e for e in outcome.log if e["phase"] == "fallback"]
+        assert len(fallback) == 12
+        assert [i for i, e in enumerate(fallback) if "fallback_reason" in e] == [0, 5, 10]
+
+
+class TestDriftFloor:
+    """A monotone drift must move the mean by more than ``_DRIFT_FLOOR``
+    times the interval; round-off creep does not read as a drift."""
+
+    def driver(self, model):
+        return solver_mod._Driver(model, SolveConfig(target=0.0))
+
+    def feed(self, driver, means, rnorm=1.0):
+        return [driver.update_drift(float(m), rnorm) for m in means][-1]
+
+    def test_round_off_creep_is_not_a_drift(self):
+        driver = self.driver(refuse_1d_model())
+        assert self.feed(driver, -0.5 + 1e-14 * np.arange(21)) is None
+
+    @pytest.mark.parametrize("sign, endpoint", [(1.0, 1.0), (-1.0, -1.0)])
+    def test_a_monotone_move_past_the_floor_is_a_drift(self, sign, endpoint):
+        # 1e-5 of the interval over the window, 10 times the floor; genuine
+        # drifts moved the mean 9.8e-5 to 2.4e-2 on intervals of length 2-3
+        driver = self.driver(refuse_1d_model())
+        step = 1e-5 * driver.span / 20
+        assert self.feed(driver, sign * step * np.arange(21)) == endpoint
+
+    def test_a_mean_pinned_next_to_an_endpoint_is_a_drift(self):
+        driver = self.driver(refuse_1d_model())
+        assert self.feed(driver, np.full(21, 0.99)) == 1.0
+
+    @pytest.mark.parametrize(
+        "dim, seed, target", [(2, 0, 0.0), (2, 1, 0.2), (3, 1, 0.0)],
+        ids=["16x16-maximal", "16x16-target-0.2", "16x16x16-maximal"],
+    )
+    def test_additive_solves_do_not_end_in_nonexistence(self, dim, seed, target):
+        # a non-slice solution: the relaxed mean moves only by round-off
+        # (2e-15-4e-15 on 16^2, 1.4e-13 on 16^3), which without the floor
+        # read as a drift toward t_max
+        model = default_model(dim, resolution=16, twist="additive")
+        initial = {"kind": "random_trig", "seed": seed, "amplitude": 0.1}
+        cfg = SolveConfig(target=target, initial=initial, check_certificate=False)
+        outcome = solve(model, cfg)
+        assert outcome.tag == "not_converged"
+        assert outcome.diagnostics["failure"] == "iteration budget exhausted"
+
+
 class TestJacobian:
     @pytest.mark.parametrize("shape", [(9,), (128,), (10, 12), (8, 8, 8)])
     def test_rows_are_the_wrapped_stencil(self, shape):

@@ -16,7 +16,7 @@ flat and curved fibers, scalar, per-node and blocked times), every kit
 field in graph and pointwise form, both mean-curvature paths, the conformal
 and static-picture checks, the area's first-variation check on 20 sampled
 nodes and on every node, ``classify``, ``is_grw``, ``dlog_dt_range``,
-five full solves, the positivity verdicts of adversarial twists and the
+seven full solves, the positivity verdicts of adversarial twists and the
 CSV files the command line writes.  It takes a few seconds on one core.
 
 Each solve also gets a ``solve/<name>/decisions`` digest that holds no
@@ -24,11 +24,21 @@ floats: the tag, the Newton iterations, the certificate reason and, per
 log entry, the phase, the gauge, whether lgmres converged and the
 fallback reason.  A change to the Newton step that moves results only by
 round-off changes the other ``solve/*`` digests but must leave these equal.
+
+    python3 tools/fingerprint.py --solve-baseline tools/solve_baseline.json
+
+writes those decisions, unhashed, with each solve's headline floats
+(``headlines``) instead.  The digests depend on the numpy build, so Tier-1
+holds the solves to this baseline: ``tests/test_solve_baseline.py``
+requires equal decisions and each float within 1e-12 of it.  A change
+that moves a solve's results on purpose regenerates the baseline in the
+same commit.
 """
 
 import argparse
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from dataclasses import fields, is_dataclass
@@ -151,29 +161,87 @@ def area_results(tb, out):
                 out[f"{key}/count{count}/{name}"] = digest(getattr(check, name))
 
 
-def solve_results(tb, out):
+def solve_runs(tb):
+    """The fingerprinted solves: name -> (model, initializer, options)."""
     refuse = tb.default_model(1, twist="separable_exp", interval=(-1.0, 1.0))
-    runs = {  # model, initializer, options
+    no_certificate = {"check_certificate": False}
+    return {
         "maximal-1d": (tb.default_model(1), {"seed": 1, "center": 0.2}, {}),
         "maximal-2d": (tb.default_model(2, resolution=24), {"seed": 2, "center": -0.3}, {}),
         "generalized-1d": (tb.default_model(1, twist="additive"), {"seed": 3},
                            {"target": "generalized"}),
         "bound-1d": (refuse, {"seed": 4}, {}),
-        "drift-1d": (refuse, {"seed": 4}, {"check_certificate": False}),
+        "drift-1d": (refuse, {"seed": 4}, no_certificate),
+        # short chunks and budgets: chunk boundaries and the best residual
+        "budget-1d": (refuse, {"seed": 3}, {**no_certificate, "fallback_chunk": 3,
+                                            "fallback_max_sweeps": 17, "max_newton_iters": 4}),
+        # a non-slice maximal graph whose relaxed mean moves only by round-off
+        "additive-2d": (tb.default_model(2, resolution=16, twist="additive"), {"seed": 0},
+                        no_certificate),
     }
-    for name, (model, start, options) in runs.items():
-        initial = {"kind": "random_trig", "amplitude": 0.1, **start}
-        outcome = tb.solve(model, tb.SolveConfig(initial=initial, **options))
+
+
+def run_solve(tb, model, start, options):
+    initial = {"kind": "random_trig", "amplitude": 0.1, **start}
+    return tb.solve(model, tb.SolveConfig(initial=initial, **options))
+
+
+def decisions(outcome):
+    """What a solve decided, with no floats: the tag, the Newton iterations,
+    the certificate reason and, per log entry, the phase, the gauge, whether
+    lgmres converged and the fallback reason."""
+    return {
+        "tag": outcome.tag,
+        "iterations": outcome.iterations,
+        "certificate": (outcome.certificate or {}).get("reason"),
+        "log": [[e["phase"], e.get("gauge"), e.get("krylov_info") == 0, e.get("fallback_reason")]
+                for e in outcome.log],
+    }
+
+
+def headlines(tb, model, outcome):
+    """A solve's headline floats: the residual, the best residual of an
+    exhausted budget and the final mean height of a solve that iterated,
+    for a converged u its distance sup|u - t*| from the transition slice t*
+    (from its own mean when the model has no transition), and the
+    certificate's floats (its bounds, target, endpoint and residual)."""
+    floats = {}
+    if outcome.log:
+        floats["residual_norm"] = outcome.residual_norm
+        if "best_residual" in outcome.diagnostics:
+            floats["best_residual"] = outcome.diagnostics["best_residual"]
+        floats["u_mean"] = outcome.log[-1]["u_mean"]
+    if outcome.tag == "converged":
+        u = outcome.graph.u
+        cls = tb.classify(model)
+        t_star = cls.t0 if cls.tag == "transition" else float(u.mean())
+        floats["sup_u_minus_t_star"] = float(np.max(np.abs(u - t_star)))
+    for key, value in (outcome.certificate or {}).items():
+        if isinstance(value, float):
+            floats[f"certificate/{key}"] = value
+    return floats
+
+
+def solve_baseline(tb):
+    """Decisions and headline floats of every fingerprinted solve, the
+    baseline that ``tests/test_solve_baseline.py`` holds results to."""
+    baseline = {}
+    for name, (model, start, options) in solve_runs(tb).items():
+        outcome = run_solve(tb, model, start, options)
+        baseline[name] = {"decisions": decisions(outcome),
+                          "floats": headlines(tb, model, outcome)}
+    return baseline
+
+
+def solve_results(tb, out):
+    for name, (model, start, options) in solve_runs(tb).items():
+        outcome = run_solve(tb, model, start, options)
         out[f"solve/{name}"] = digest([
             outcome.tag, outcome.residual_norm, outcome.iterations, outcome.certificate,
             outcome.diagnostics, outcome.log, None if outcome.graph is None else outcome.graph.u,
         ])
         # no floats: equal on a Newton-step change that moves only round-off
-        out[f"solve/{name}/decisions"] = digest([
-            outcome.tag, outcome.iterations, (outcome.certificate or {}).get("reason"),
-            [(e["phase"], e.get("gauge"), e.get("krylov_info") == 0, e.get("fallback_reason"))
-             for e in outcome.log],
-        ])
+        out[f"solve/{name}/decisions"] = digest(list(decisions(outcome).values()))
         if outcome.report is not None:
             report = outcome.report
             out[f"solve/{name}/report"] = digest(
@@ -242,10 +310,21 @@ def main(argv=None):
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the twistbench package to fingerprint")
     parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
+    parser.add_argument("--solve-baseline", default=None, metavar="PATH",
+                        help="write the solves' decisions and headline floats to PATH "
+                             "as readable JSON, instead of the digests")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import twistbench as tb
 
+    if args.solve_baseline is not None:
+        baseline = solve_baseline(tb)
+        text = json.dumps(baseline, indent=1) + "\n"
+        # one line per innermost list: a log entry reads as one line
+        text = re.sub(r"\[[^\[\]{}]*\]", lambda m: json.dumps(json.loads(m[0])), text)
+        Path(args.solve_baseline).write_text(text)
+        print(f"{len(baseline)} solves from {tb.__file__}", file=sys.stderr)
+        return
     out = {}
     parts = (twist_results, kit_results, area_results, solve_results, positivity_results,
              csv_results)
