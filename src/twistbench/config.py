@@ -5,10 +5,12 @@ level so archived experiment files stay unambiguous.  ``resolve`` fills in
 the seed, the output formats, the flat fiber metric, every ``SolveConfig``
 option of a solve block and the verify and convergence defaults, and returns
 the exact dictionary that reports embed, which can be fed back to reproduce
-the run; initializer defaults stay with ``initializers``.  The schema reads
-the solve options, twist families, time-profile kinds and identity names
-from their single declarations: ``SolveConfig``, ``TWIST_FAMILIES``,
-``TIME_KINDS`` and ``IDENTITY_KINDS``.
+the run; initializer defaults stay with ``random_trig_graph``.  Each piece
+is read from its single declaration: the solve options from ``SolveConfig``,
+the twist families from ``TWIST_FAMILIES``, the time-profile kinds and
+their params from ``TIME_KINDS``, the random_trig keys from
+``RANDOM_TRIG_KEYS``, the identity names from ``IDENTITY_KINDS`` and the
+task defaults from ``VERIFY_DEFAULTS`` and ``CONVERGENCE_DEFAULTS``.
 """
 
 import copy
@@ -22,7 +24,8 @@ import jsonschema
 
 from .errors import ConfigError
 from .fiber_grid import FiberGrid
-from .identities import IDENTITY_KINDS
+from .identities import CONVERGENCE_DEFAULTS, IDENTITY_KINDS, VERIFY_DEFAULTS
+from .initializers import RANDOM_TRIG_KEYS
 from .profiles import TIME_KINDS, TimeProfile, TrigPolynomial
 from .spacetime import TWIST_FAMILIES, SpacetimeModel, TwistedFunction
 
@@ -113,23 +116,24 @@ class SolveConfig:
 # the options a solve block may set: every SolveConfig field but ``initial``
 _SOLVE_OPTIONS = [option for option in fields(SolveConfig) if option.metadata]
 
+# one branch per time-profile kind, each taking exactly its declared params
 _TIME_PROFILE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(TIME_KINDS)},
-        "params": {
+    "oneOf": [
+        {
             "type": "object",
             "additionalProperties": False,
+            "required": ["kind"],
             "properties": {
-                "c": {"type": "number"},
-                "a": {"type": "number"},
-                "b": {"type": "number"},
-                "rate": {"type": "number"},
+                "kind": {"const": kind},
+                "params": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {name: {"type": "number"} for name in defaults},
+                },
             },
-        },
-    },
+        }
+        for kind, (defaults, _, _) in TIME_KINDS.items()
+    ]
 }
 
 _TRIG_MODES = {
@@ -154,10 +158,11 @@ _TRIG_POLY = {
     "properties": {"modes": _TRIG_MODES},
 }
 
-# the schema entry of each twist constructor argument
+# the schema entry of each twist constructor argument; the time profiles
+# refer to one definition, so checking the schema walks its branches once
 _TWIST_ARGUMENT = {
-    "g": _TIME_PROFILE,
-    "q": _TIME_PROFILE,
+    "g": {"$ref": "#/$defs/time_profile"},
+    "q": {"$ref": "#/$defs/time_profile"},
     "s": _TRIG_POLY,
     "eps": {"type": "number"},
     "amp": {"type": "number"},
@@ -222,22 +227,16 @@ _INITIALIZER = {
             "type": "object",
             "additionalProperties": False,
             "required": ["kind"],
-            "properties": {
-                "kind": {"const": "random_trig"},
-                "seed": {"type": "integer", "minimum": 0},
-                "center": {"type": "number"},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "max_mode": {"type": "integer", "minimum": 1},
-                "n_modes": {"type": "integer", "minimum": 1},
-                "rescale": {"type": "boolean"},
-            },
+            "properties": {"kind": {"const": "random_trig"}, **RANDOM_TRIG_KEYS},
         },
     ]
 }
 
-_IDENTITY = {"enum": list(IDENTITY_KINDS)}
+# a list of identity names; None (the key left out) means the default set
+_IDENTITIES = {"type": "array", "minItems": 1, "items": {"enum": list(IDENTITY_KINDS)}}
 
 SCHEMA = {
+    "$defs": {"time_profile": _TIME_PROFILE},
     "type": "object",
     "additionalProperties": False,
     "required": ["task", "spacetime", "output"],
@@ -300,7 +299,7 @@ SCHEMA = {
             "properties": {
                 "corpus_count": {"type": "integer", "minimum": 1},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "identities": {"type": "array", "items": _IDENTITY},
+                "identities": _IDENTITIES,
                 "thresholds": {
                     "type": "object",
                     "additionalProperties": False,
@@ -312,7 +311,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "quantities": {"type": "array", "items": _IDENTITY},
+                "quantities": _IDENTITIES,
                 "corpus_count": {"type": "integer", "minimum": 1},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
                 "factors": {
@@ -340,13 +339,8 @@ SCHEMA = {
 
 _TASK_DEFAULTS = {
     "solve": {option.name: option.default for option in _SOLVE_OPTIONS},
-    "verify": {"corpus_count": 5, "amplitude": 0.05},
-    "convergence": {
-        "corpus_count": 3,
-        "amplitude": 0.05,
-        "factors": [1, 2, 4],
-        "min_order": 1.9,
-    },
+    "verify": VERIFY_DEFAULTS,
+    "convergence": CONVERGENCE_DEFAULTS,
 }
 
 
@@ -406,7 +400,7 @@ def resolve(raw, seed=None, out_dir=None):
     if task in _TASK_DEFAULTS:
         block = cfg.setdefault(task, {})
         for key, value in _TASK_DEFAULTS[task].items():
-            block.setdefault(key, value)
+            block.setdefault(key, copy.deepcopy(value))
     return validate(cfg)
 
 
@@ -436,7 +430,7 @@ def _build_twist(cfg, periods):
     args = dict(cfg)
     for key in ("g", "q"):
         if key in args:
-            args[key] = TimeProfile(args[key]["kind"], dict(args[key].get("params", {})))
+            args[key] = TimeProfile(**args[key])
     if "s" in args:
         args["s"] = TrigPolynomial.from_specs(args["s"]["modes"], periods)
     return TwistedFunction(**args)

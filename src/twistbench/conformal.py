@@ -37,18 +37,51 @@ __all__ = [
     "maximal_power_check",
 ]
 
-_KINDS = ("constant", "neg_log_twist", "fiber")
+def _shape(t, grid):
+    return np.broadcast(np.asarray(t), grid.coords[0]).shape
+
+
+def _fiber_only_partials(phi, t, grid):
+    """d_F phi of a fiber factor: the profile's partials at each time."""
+    out = component_array(_shape(t, grid), grid.dim, zeros=True)
+    for i in range(grid.dim):
+        out[..., i] = grid.sample(phi.fiber_profile, i)
+    return out
+
+
+def _of_twist(formula):
+    """A neg_log_twist part: ``formula(power, along)`` on one evaluation of
+    the twist at (t, grid)."""
+    return lambda phi, t, grid: formula(phi.power, phi.twist.along(t, grid))
+
+
+# kind -> (phi, d/dt phi, d_F phi), each a function of (factor, t, grid)
+_KINDS = {
+    # phi = c
+    "constant": (
+        lambda phi, t, grid: np.full(_shape(t, grid), phi.const),
+        lambda phi, t, grid: np.zeros(_shape(t, grid)),
+        lambda phi, t, grid: component_array(_shape(t, grid), grid.dim, zeros=True),
+    ),
+    # phi = -power log f (power 1 is the static picture)
+    "neg_log_twist": (
+        _of_twist(lambda p, along: -p * np.log(along.f)),
+        _of_twist(lambda p, along: -p * (along.dt / along.f)),
+        _of_twist(lambda p, along: -p * along.partials / along.f[..., None]),
+    ),
+    # phi = s(x), a fiber-only trig polynomial
+    "fiber": (
+        lambda phi, t, grid: np.broadcast_to(
+            grid.sample(phi.fiber_profile), _shape(t, grid)).copy(),
+        lambda phi, t, grid: np.zeros(_shape(t, grid)),
+        _fiber_only_partials,
+    ),
+}
 
 
 class ConformalFactor:
-    """Closed-form conformal exponent phi on the spacetime.
-
-    Kinds
-    -----
-    constant        phi = c
-    neg_log_twist   phi = -power * log f   (power 1 is the static picture)
-    fiber           phi = s(x), a fiber-only trig polynomial
-    """
+    """Closed-form conformal exponent phi on the spacetime, of a kind in
+    ``_KINDS``."""
 
     def __init__(self, kind, value=0.0, power=1.0, twist=None, fiber_profile=None):
         if kind not in _KINDS:
@@ -77,30 +110,13 @@ class ConformalFactor:
         return ConformalFactor("fiber", fiber_profile=profile)
 
     def value(self, t, grid):
-        if self.kind == "constant":
-            return np.full(np.broadcast(np.asarray(t), grid.coords[0]).shape, self.const)
-        if self.kind == "neg_log_twist":
-            return -self.power * np.log(self.twist.value(t, grid))
-        return np.broadcast_to(
-            grid.sample(self.fiber_profile),
-            np.broadcast(np.asarray(t), grid.coords[0]).shape,
-        ).copy()
+        return _KINDS[self.kind][0](self, t, grid)
 
     def dt(self, t, grid):
-        if self.kind == "neg_log_twist":
-            return -self.power * self.twist.dlog_dt(t, grid)
-        return np.zeros(np.broadcast(np.asarray(t), grid.coords[0]).shape)
+        return _KINDS[self.kind][1](self, t, grid)
 
     def fiber_partials(self, t, grid):
-        if self.kind == "neg_log_twist":
-            f = self.twist.value(t, grid)
-            return -self.power * self.twist.fiber_partials(t, grid) / f[..., None]
-        shape = np.broadcast(np.asarray(t), grid.coords[0]).shape
-        out = component_array(shape, grid.dim, zeros=True)
-        if self.kind == "fiber":
-            for i in range(grid.dim):
-                out[..., i] = grid.sample(self.fiber_profile, i)
-        return out
+        return _KINDS[self.kind][2](self, t, grid)
 
 
 def transform_mean_curvature(graph, phi):

@@ -15,6 +15,7 @@ from .profiles import TimeProfile, TrigPolynomial
 from .spacetime import SpacetimeModel, TwistedFunction
 
 __all__ = [
+    "RANDOM_TRIG_KEYS",
     "constant_graph",
     "random_trig_graph",
     "resolve_initializer",
@@ -24,13 +25,28 @@ __all__ = [
 ]
 
 
+def _random_modes(rng, dim, count, max_mode, coeff):
+    """``count`` trig mode specs drawn from ``rng``: wavevector entries in
+    [-max_mode, max_mode], never all zero, ``coeff()`` for the coefficient
+    and a uniform phase, drawn in that order per mode."""
+    modes = []
+    for _ in range(count):
+        wavevec = tuple(int(k) for k in rng.integers(-max_mode, max_mode + 1, dim))
+        if all(k == 0 for k in wavevec):
+            wavevec = (1,) + (0,) * (dim - 1)
+        modes.append(
+            {"coeff": coeff(), "wavevec": wavevec, "phase": float(rng.uniform(0.0, 2.0 * np.pi))}
+        )
+    return modes
+
+
 def constant_graph(model, t_c):
     return GraphField.constant(model, t_c)
 
 
 def random_trig_graph(
     model,
-    seed,
+    seed=0,
     center=None,
     amplitude=0.05,
     max_mode=2,
@@ -54,18 +70,10 @@ def random_trig_graph(
         center = 0.5 * (t_min + t_max)
     center = float(center)
 
-    modes = []
-    for _ in range(n_modes):
-        wavevec = tuple(int(k) for k in rng.integers(-max_mode, max_mode + 1, grid.dim))
-        if all(k == 0 for k in wavevec):
-            wavevec = (1,) + (0,) * (grid.dim - 1)
-        modes.append(
-            {
-                "coeff": float(rng.uniform(-1.0, 1.0)) * amplitude / n_modes,
-                "wavevec": wavevec,
-                "phase": float(rng.uniform(0.0, 2.0 * np.pi)),
-            }
-        )
+    modes = _random_modes(
+        rng, grid.dim, n_modes, max_mode,
+        lambda: float(rng.uniform(-1.0, 1.0)) * amplitude / n_modes,
+    )
     poly = TrigPolynomial.from_specs(modes, grid.periods)
     deviation = poly.value(*grid.open_coords)
 
@@ -86,8 +94,26 @@ def random_trig_graph(
     return graph
 
 
+# the keys a random_trig spec may carry, with their schema entries: the
+# config schema reads them, and ``resolve_initializer`` coerces each value by
+# its type.  Their defaults are ``random_trig_graph``'s.
+RANDOM_TRIG_KEYS = {
+    "seed": {"type": "integer", "minimum": 0},
+    "center": {"type": "number"},
+    "amplitude": {"type": "number", "exclusiveMinimum": 0},
+    "max_mode": {"type": "integer", "minimum": 1},
+    "n_modes": {"type": "integer", "minimum": 1},
+    "rescale": {"type": "boolean"},
+}
+_COERCIONS = {"integer": int, "number": float, "boolean": bool}
+
+
 def resolve_initializer(model, spec):
-    """Build a graph from a GraphField or an initializer spec dict."""
+    """Build a graph from a GraphField or an initializer spec dict.
+
+    A random_trig spec passes the keys of ``RANDOM_TRIG_KEYS`` it carries to
+    ``random_trig_graph``, which supplies the rest; other keys are ignored.
+    """
     if isinstance(spec, GraphField):
         return spec
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -96,15 +122,9 @@ def resolve_initializer(model, spec):
     if kind == "constant":
         return constant_graph(model, spec["value"])
     if kind == "random_trig":
-        return random_trig_graph(
-            model,
-            seed=int(spec.get("seed", 0)),
-            center=spec.get("center"),
-            amplitude=float(spec.get("amplitude", 0.05)),
-            max_mode=int(spec.get("max_mode", 2)),
-            n_modes=int(spec.get("n_modes", 3)),
-            rescale=bool(spec.get("rescale", True)),
-        )
+        args = {key: _COERCIONS[entry["type"]](spec[key])
+                for key, entry in RANDOM_TRIG_KEYS.items() if key in spec}
+        return random_trig_graph(model, **args)
     raise ConfigError(f"unknown initializer kind {kind!r}")
 
 
@@ -145,29 +165,19 @@ def default_model(dim, resolution=None, twist="separable_gauss", curved=False, i
     ripple = TrigPolynomial.from_specs(
         [{"coeff": 1.0, "wavevec": wave}], fiber.periods
     )
-    if twist == "grw_exp":
-        fn = TwistedFunction("pure_time", g=TimeProfile("exp", {"rate": 1.0}))
-    elif twist == "grw_gauss":
-        fn = TwistedFunction("pure_time", g=TimeProfile("gauss"))
-    elif twist == "separable_gauss":
-        fn = TwistedFunction("separable", g=TimeProfile("gauss"), eps=0.1, s=ripple)
-    elif twist == "separable_exp":
-        fn = TwistedFunction(
-            "separable", g=TimeProfile("exp", {"rate": 1.0}), eps=0.1, s=ripple
-        )
-    elif twist == "additive":
-        fn = TwistedFunction(
-            "additive",
-            g=TimeProfile("cosh"),
-            eps=0.1,
-            s=ripple,
-            q=TimeProfile("linear", {"a": 2.0, "b": 0.25}),
-        )
-    elif twist == "traveling":
-        fn = TwistedFunction("traveling", amp=0.3, period=1.0)
-    else:
+    exp, gauss = TimeProfile("exp"), TimeProfile("gauss")
+    twists = {
+        "grw_exp": {"family": "pure_time", "g": exp},
+        "grw_gauss": {"family": "pure_time", "g": gauss},
+        "separable_gauss": {"family": "separable", "g": gauss, "eps": 0.1, "s": ripple},
+        "separable_exp": {"family": "separable", "g": exp, "eps": 0.1, "s": ripple},
+        "additive": {"family": "additive", "g": TimeProfile("cosh"), "eps": 0.1, "s": ripple,
+                     "q": TimeProfile("linear", {"a": 2.0, "b": 0.25})},
+        "traveling": {"family": "traveling", "amp": 0.3, "period": 1.0},
+    }
+    if twist not in twists:
         raise ValueError(f"unknown standard twist {twist!r}")
-    return SpacetimeModel(interval, fiber, fn)
+    return SpacetimeModel(interval, fiber, TwistedFunction(**twists[twist]))
 
 
 def corpus_graphs(model, count=10, seed0=100, amplitude=0.05, max_mode=None):

@@ -7,25 +7,42 @@ exact derivative evaluators; nothing here is differentiated numerically.
 
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 __all__ = ["TIME_KINDS", "TimeProfile", "TrigPolynomial"]
 
-TIME_KINDS = ("constant", "linear", "exp", "cosh", "sech", "gauss")
+# kind -> (param defaults, g, g'); g and g' take t and the params by name
+TIME_KINDS = {
+    "constant": (
+        {"c": 1.0},
+        lambda t, c: np.full_like(t, c),
+        lambda t, c: np.zeros_like(t),
+    ),
+    "linear": (
+        {"a": 1.0, "b": 0.0},
+        lambda t, a, b: a + b * t,
+        lambda t, a, b: np.full_like(t, b),
+    ),
+    "exp": (
+        {"rate": 1.0},
+        lambda t, rate: np.exp(rate * t),
+        lambda t, rate: rate * np.exp(rate * t),
+    ),
+    "cosh": ({}, np.cosh, np.sinh),
+    "sech": ({}, lambda t: 1.0 / np.cosh(t), lambda t: -np.tanh(t) / np.cosh(t)),
+    "gauss": ({}, lambda t: np.exp(-t * t), lambda t: -2.0 * t * np.exp(-t * t)),
+}
 
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """One of the built-in time profiles g(t).
+    """A time profile g(t) of a kind in ``TIME_KINDS``, with its params.
 
-    kind:
-        "constant"  g = c               params: c
-        "linear"    g = a + b t         params: a, b
-        "exp"       g = exp(rate t)     params: rate
-        "cosh"      g = cosh t
-        "sech"      g = 1 / cosh t
-        "gauss"     g = exp(-t^2)
+    A param the kind does not declare is refused.  The profile keeps a
+    read-only copy of its params with the defaults filled in, so a change to
+    the dict it was given changes nothing built on it.
     """
 
     kind: str
@@ -34,35 +51,21 @@ class TimeProfile:
     def __post_init__(self):
         if self.kind not in TIME_KINDS:
             raise ValueError(f"unknown time profile {self.kind!r}")
+        defaults = TIME_KINDS[self.kind][0]
+        unknown = self.params.keys() - defaults.keys()
+        if unknown:
+            raise ValueError(f"time profile {self.kind!r} takes no param {min(unknown)!r}")
+        object.__setattr__(self, "params", MappingProxyType({**defaults, **self.params}))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the dict it reads does
+        return TimeProfile, (self.kind, dict(self.params))
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.params.get("c", 1.0))
-        if self.kind == "linear":
-            return self.params.get("a", 1.0) + self.params.get("b", 0.0) * t
-        if self.kind == "exp":
-            return np.exp(self.params.get("rate", 1.0) * t)
-        if self.kind == "cosh":
-            return np.cosh(t)
-        if self.kind == "sech":
-            return 1.0 / np.cosh(t)
-        return np.exp(-t * t)
+        return TIME_KINDS[self.kind][1](np.asarray(t, dtype=float), **self.params)
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        if self.kind == "linear":
-            return np.full_like(t, self.params.get("b", 0.0))
-        if self.kind == "exp":
-            rate = self.params.get("rate", 1.0)
-            return rate * np.exp(rate * t)
-        if self.kind == "cosh":
-            return np.sinh(t)
-        if self.kind == "sech":
-            return -np.tanh(t) / np.cosh(t)
-        return -2.0 * t * np.exp(-t * t)
+        return TIME_KINDS[self.kind][2](np.asarray(t, dtype=float), **self.params)
 
 
 def _finite(value, name):

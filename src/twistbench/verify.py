@@ -31,8 +31,14 @@ from .graphs import (
     unit_normal,
     warped_obstruction,
 )
-from .identities import IDENTITY_KINDS
-from .initializers import corpus_graphs
+from .identities import (
+    CONVERGENCE_DEFAULTS,
+    DEFAULT_QUANTITIES,
+    DEFAULT_THRESHOLDS,
+    IDENTITY_KINDS,
+    VERIFY_DEFAULTS,
+)
+from .initializers import _random_modes, corpus_graphs
 from .profiles import TimeProfile, TrigPolynomial
 from .spacetime import SpacetimeModel, TwistedFunction
 
@@ -66,18 +72,9 @@ class _Context:
     def random_scalar(self, offset, amplitude=0.4):
         grid = self.model.fiber
         rng = np.random.default_rng(self.seed0 + 7919 * offset)
-        modes = []
-        for _ in range(3):
-            wavevec = tuple(int(k) for k in rng.integers(-1, 2, grid.dim))
-            if all(k == 0 for k in wavevec):
-                wavevec = (1,) + (0,) * (grid.dim - 1)
-            modes.append(
-                {
-                    "coeff": float(rng.uniform(-amplitude, amplitude)),
-                    "wavevec": wavevec,
-                    "phase": float(rng.uniform(0.0, 2.0 * np.pi)),
-                }
-            )
+        modes = _random_modes(
+            rng, grid.dim, 3, 1, lambda: float(rng.uniform(-amplitude, amplitude))
+        )
         poly = TrigPolynomial.from_specs(modes, grid.periods)
         return poly.value(*grid.open_coords)
 
@@ -250,73 +247,54 @@ def _area_variation(ctx):
     ]
 
 
-# name -> (check, kind); a missing check fails the import
-_REGISTRY = {name: (globals()[f"_{name}"], kind) for name, kind in IDENTITY_KINDS.items()}
-
-# Order2 thresholds were measured on the standard corpus at the desk
-# resolutions (128 / 64^2 / 16^3) and carry roughly 20x headroom, keyed by
-# fiber dimension since the constants grow with it; exact entries use the
-# pointwise tolerances.  Runs at other resolutions should supply their own
-# thresholds through the config.
-DEFAULT_THRESHOLDS = {
-    "mean_curvature_two_path": {1: 1e-2, 2: 1e-2, 3: 2e-1},
-    "laplacian_tau_two_path": {1: 2e-2, 2: 2e-3, 3: 3e-1},
-    "conformal_laplacian": {1: 3e-1, 2: 1e-10, 3: 3e1},
-    "static_main": {1: 2e-2, 2: 2e-2, 3: 3e-1},
-    "static_laplacian_relation": {1: 1e-2, 2: 2e-3, 3: 2e-1},
-    "static_gradient_pairing": {1: 1e-3, 2: 2e-3, 3: 5e-2},
-    "product_rule": {1: 3e-1, 2: 1.0, 3: 3e1},
-    "fiber_gradient_accuracy": {1: 5e-2, 2: 2e-1, 3: 3.0},
-    "fiber_laplacian_accuracy": {1: 6e-1, 2: 3.0, 3: 4e1},
-    "det_two_path": 1e-10,
-    "unit_normal_norm": 1e-10,
-    "hyperbolic_identity": 1e-12,
-    "support_identity": 1e-12,
-    "grad_tau_contraction": 1e-10,
-    "obstruction_grw": 1e-10,
-    "area_variation": 1e-5,
-}
+# name -> check; a missing check fails the import
+_REGISTRY = {name: globals()[f"_{name}"] for name in IDENTITY_KINDS}
 
 
-def _kind_and_threshold(name, dim, table):
-    """Identity kind and gate, resolving the dimension-2 conformal special case.
-
-    In dimension 2 the Laplacian rescaling law has no gradient coupling and
-    the two sides share their stencil arithmetic, so the defect sits at
-    roundoff and the identity is gated as exact instead of by decay order.
-    """
-    kind = _REGISTRY[name][1]
-    entry = table[name]
-    threshold = float(entry[dim]) if isinstance(entry, dict) else float(entry)
-    if name == "conformal_laplacian" and dim == 2:
-        kind = "exact"
-    return kind, threshold
+def _names(names, default, what):
+    """The identity names to run: ``default`` for None; an empty list or an
+    unknown name is refused."""
+    if names is None:
+        return list(default)
+    names = list(names)
+    if not names:
+        raise ValueError(f"{what} must name at least one identity")
+    for name in names:
+        if name not in _REGISTRY:
+            raise KeyError(f"unknown identity {name!r}")
+    return names
 
 
 def run_identity_suite(
-    model, count=5, seed0=100, amplitude=0.05, identities=None, thresholds=None
+    model,
+    count=VERIFY_DEFAULTS["corpus_count"],
+    seed0=100,
+    amplitude=VERIFY_DEFAULTS["amplitude"],
+    identities=None,
+    thresholds=None,
 ):
     """Evaluate the identity defects on a seeded corpus over one model.
 
-    Returns a list of rows {identity, kind, max_defect, mean_defect,
-    threshold, pass}; overall pass is the conjunction.
+    ``identities`` None runs every identity.  Returns a list of rows
+    {identity, kind, max_defect, mean_defect, threshold, pass}; overall
+    pass is the conjunction.
     """
-    names = list(identities) if identities else list(_REGISTRY)
-    table = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        table.update(thresholds)
+    names = _names(identities, _REGISTRY, "identities")
     ctx = _Context(
         model=model,
         graphs=corpus_graphs(model, count=count, seed0=seed0, amplitude=amplitude),
         seed0=seed0,
     )
+    dim = model.fiber.dim
     rows = []
     for name in names:
-        if name not in _REGISTRY:
-            raise KeyError(f"unknown identity {name!r}")
-        func, _ = _REGISTRY[name]
-        kind, threshold = _kind_and_threshold(name, model.fiber.dim, table)
-        defects = np.asarray(func(ctx), dtype=float)
+        entry = (thresholds or {}).get(name, DEFAULT_THRESHOLDS[name])
+        threshold = float(entry[dim]) if isinstance(entry, dict) else float(entry)
+        # in dimension 2 the Laplacian rescaling law has no gradient coupling
+        # and its two sides share their stencil arithmetic, so the defect sits
+        # at roundoff and the identity is gated as exact, not by decay order
+        kind = "exact" if name == "conformal_laplacian" and dim == 2 else IDENTITY_KINDS[name]
+        defects = np.asarray(_REGISTRY[name](ctx), dtype=float)
         rows.append(
             {
                 "identity": name,
@@ -325,7 +303,7 @@ def run_identity_suite(
                 "mean_defect": float(defects.mean()),
                 "threshold": threshold,
                 "pass": bool(defects.max() <= threshold),
-                "dim": model.fiber.dim,
+                "dim": dim,
                 "resolution": list(model.fiber.resolution),
             }
         )
@@ -335,81 +313,48 @@ def run_identity_suite(
 def run_convergence_study(
     model,
     quantities=None,
-    count=3,
+    count=CONVERGENCE_DEFAULTS["corpus_count"],
     seed0=100,
-    amplitude=0.05,
-    factors=(1, 2, 4),
-    min_order=1.9,
+    amplitude=CONVERGENCE_DEFAULTS["amplitude"],
+    factors=tuple(CONVERGENCE_DEFAULTS["factors"]),
+    min_order=CONVERGENCE_DEFAULTS["min_order"],
     thresholds=None,
 ):
     """Refine the fiber m -> 2m -> 4m and report observed defect orders.
 
-    The observed order of an "order2" identity is log2 of the defect drop
-    over the finest refinement pair and must reach ``min_order``; "exact"
-    identities skip the order test and are gated by their fixed tolerance at
-    every level.
+    Each level runs the identity suite on ``quantities`` (None for
+    ``DEFAULT_QUANTITIES``).  The observed order of an "order2" identity is
+    log2 of the defect drop over the finest refinement pair and must reach
+    ``min_order``; "exact" identities skip the order test and are gated by
+    their fixed tolerance at every level.
     """
-    names = list(quantities) if quantities else [
-        "mean_curvature_two_path",
-        "laplacian_tau_two_path",
-        "conformal_laplacian",
-        "static_main",
-        "support_identity",
-    ]
-    table = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        table.update(thresholds)
-
+    names = _names(quantities, DEFAULT_QUANTITIES, "quantities")
     per_level = []
-    levels = []
     for factor in factors:
         fiber = model.fiber if factor == 1 else model.fiber.refined(factor)
         refined = SpacetimeModel(model.interval, fiber, model.twist)
-        levels.append(list(fiber.resolution))
-        ctx = _Context(
-            model=refined,
-            graphs=corpus_graphs(refined, count=count, seed0=seed0, amplitude=amplitude),
-            seed0=seed0,
-        )
-        level_defects = {}
-        for name in names:
-            func, _ = _REGISTRY[name]
-            level_defects[name] = float(np.max(func(ctx)))
-        per_level.append(level_defects)
+        per_level.append(run_identity_suite(
+            refined, count=count, seed0=seed0, amplitude=amplitude, identities=names,
+            thresholds=thresholds,
+        ))
 
+    levels = [level_rows[0]["resolution"] for level_rows in per_level]
     rows = []
-    for name in names:
-        kind, threshold = _kind_and_threshold(name, model.fiber.dim, table)
-        defects = [lvl[name] for lvl in per_level]
+    for i, name in enumerate(names):
+        # every level has the model's fiber dimension, so its kind and gate
+        kind, threshold = per_level[0][i]["kind"], per_level[0][i]["threshold"]
+        defects = [level[i]["max_defect"] for level in per_level]
+        row = {"identity": name, "kind": kind, "levels": levels, "defects": defects}
         if kind == "exact":
-            ok = all(d <= threshold for d in defects)
-            rows.append(
-                {
-                    "identity": name,
-                    "kind": kind,
-                    "levels": levels,
-                    "defects": defects,
-                    "orders": None,
-                    "observed_order": None,
-                    "pass": bool(ok),
-                    "note": "exact identity: defect at roundoff, order test skipped",
-                }
-            )
-            continue
-        orders = [
-            float(np.log2(defects[k] / defects[k + 1]))
-            for k in range(len(defects) - 1)
-        ]
-        observed = orders[-1]
-        rows.append(
-            {
-                "identity": name,
-                "kind": kind,
-                "levels": levels,
-                "defects": defects,
-                "orders": orders,
-                "observed_order": observed,
-                "pass": bool(observed >= min_order),
-            }
-        )
+            row.update({
+                "orders": None,
+                "observed_order": None,
+                "pass": all(d <= threshold for d in defects),
+                "note": "exact identity: defect at roundoff, order test skipped",
+            })
+        else:
+            orders = [float(np.log2(a / b)) for a, b in zip(defects, defects[1:])]
+            row.update({"orders": orders, "observed_order": orders[-1],
+                        "pass": bool(orders[-1] >= min_order)})
+        rows.append(row)
     return rows

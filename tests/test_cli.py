@@ -167,6 +167,29 @@ class TestConfigErrors:
         assert err.startswith(f"config error: config schema violation at {where}:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("task, block, where", [
+        ("verify", {"identities": []}, "verify/identities"),
+        ("convergence", {"quantities": []}, "convergence/quantities"),
+    ])
+    def test_empty_identity_list_is_a_config_error(self, tmp_path, capsys, task, block, where):
+        # an empty list used to run the default set: 16 rows for verify
+        cfg = base_config(task, tmp_path / "out")
+        cfg[task] = block
+        assert main([task, "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config schema violation at {where}:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("g", [{"kind": "exp", "params": {"c": 3}},
+                                   {"kind": "gauss", "params": {"rate": 1.0}}], ids=str)
+    def test_a_param_the_kind_never_reads_is_a_config_error(self, tmp_path, capsys, g):
+        # exp with c used to validate and run as exp(t)
+        cfg = base_config("verify", tmp_path / "out", twist={"family": "pure_time", "g": g})
+        assert main(["verify", "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config schema violation at spacetime/twist:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     def test_transition_solve_exits_0_with_artifacts(self, tmp_path):

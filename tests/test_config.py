@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 
 import jsonschema
@@ -16,6 +17,8 @@ from twistbench import (
     solve,
 )
 from twistbench import config as config_mod
+from twistbench import identities, initializers, verify
+from twistbench.profiles import TIME_KINDS
 
 
 def valid_config():
@@ -334,9 +337,9 @@ class TestCatalogSchema:
         from twistbench.identities import IDENTITY_KINDS
 
         names = list(IDENTITY_KINDS)
-        # the suite runs one check per declared name, with the declared kind
+        # the suite runs one check per declared name
         assert verify.IDENTITY_KINDS is IDENTITY_KINDS
-        assert {name: kind for name, (_, kind) in verify._REGISTRY.items()} == IDENTITY_KINDS
+        assert list(verify._REGISTRY) == names
         verify = config_mod.SCHEMA["properties"]["verify"]["properties"]
         convergence = config_mod.SCHEMA["properties"]["convergence"]["properties"]
         assert verify["identities"]["items"]["enum"] == names
@@ -357,3 +360,82 @@ class TestCatalogSchema:
         raw["spacetime"]["twist"]["g"] = {"kind": kind}
         model = config_mod.build_model(config_mod.resolve(raw))
         assert model.twist.g.kind == kind
+
+    def test_time_profile_schema_has_one_branch_per_kind(self):
+        twist = config_mod.SCHEMA["properties"]["spacetime"]["properties"]["twist"]
+        refs = [family["properties"][key] for family in twist["oneOf"]
+                for key in ("g", "q") if key in family["properties"]]
+        assert refs == [{"$ref": "#/$defs/time_profile"}] * 4
+        branches = config_mod.SCHEMA["$defs"]["time_profile"]["oneOf"]
+        got = {b["properties"]["kind"]["const"]: list(b["properties"]["params"]["properties"])
+               for b in branches}
+        assert got == {kind: list(defaults) for kind, (defaults, _, _) in TIME_KINDS.items()}
+
+    @pytest.mark.parametrize("kind", list(TIME_KINDS))
+    @pytest.mark.parametrize("param", ["c", "a", "b", "rate"])
+    def test_each_kind_takes_exactly_its_params(self, kind, param):
+        # exp with c used to validate and run as exp(t)
+        raw = valid_config()
+        raw["spacetime"]["twist"]["g"] = {"kind": kind, "params": {param: 0.5}}
+        declared = param in TIME_KINDS[kind][0]
+        assert _accepts(lambda: config_mod.validate(raw), ConfigError) == declared
+        assert _accepts(lambda: TimeProfile(kind, {param: 0.5}), ValueError) == declared
+
+    def test_unknown_kind_keeps_its_message(self):
+        raw = valid_config()
+        raw["spacetime"]["twist"]["g"]["kind"] = "sinh"
+        with pytest.raises(ConfigError) as exc:
+            config_mod.validate(raw)
+        assert str(exc.value) == (
+            "config schema violation at spacetime/twist: {'family': 'separable', "
+            "'g': {'kind': 'sinh'}, 'eps': 0.1, 's': {'modes': [{'coeff': 1.0, 'wavevec': [1]}]}} "
+            "is not valid under any of the given schemas"
+        )
+
+    def test_random_trig_schema_reads_the_initializer_keys(self):
+        for task in ("geometry", "solve"):
+            block = config_mod.SCHEMA["properties"][task]["properties"]["initializer"]
+            branch = block["oneOf"][1]
+            assert branch["properties"] == {"kind": {"const": "random_trig"},
+                                            **initializers.RANDOM_TRIG_KEYS}
+        parameters = inspect.signature(initializers.random_trig_graph).parameters
+        assert set(initializers.RANDOM_TRIG_KEYS) < set(parameters)
+
+    def test_task_defaults_come_from_the_identity_table(self):
+        assert config_mod._TASK_DEFAULTS["verify"] is identities.VERIFY_DEFAULTS
+        assert config_mod._TASK_DEFAULTS["convergence"] is identities.CONVERGENCE_DEFAULTS
+        assert set(identities.DEFAULT_THRESHOLDS) == set(identities.IDENTITY_KINDS)
+        assert set(identities.DEFAULT_QUANTITIES) <= set(identities.IDENTITY_KINDS)
+        suite = inspect.signature(verify.run_identity_suite).parameters
+        study = inspect.signature(verify.run_convergence_study).parameters
+        for params, defaults in ((suite, identities.VERIFY_DEFAULTS),
+                                 (study, identities.CONVERGENCE_DEFAULTS)):
+            assert params["count"].default == defaults["corpus_count"]
+            assert params["amplitude"].default == defaults["amplitude"]
+        assert list(study["factors"].default) == identities.CONVERGENCE_DEFAULTS["factors"]
+        assert study["min_order"].default == identities.CONVERGENCE_DEFAULTS["min_order"]
+        for task, defaults in (("verify", identities.VERIFY_DEFAULTS),
+                               ("convergence", identities.CONVERGENCE_DEFAULTS)):
+            raw = valid_config()
+            raw["task"] = task
+            resolved = config_mod.resolve(raw)
+            assert resolved[task] == defaults
+            # each resolved config holds its own copy of a default list
+            assert task != "convergence" or resolved[task]["factors"] is not defaults["factors"]
+
+
+class TestRandomTrigInitializer:
+    def test_a_bare_spec_takes_random_trig_graphs_defaults(self):
+        model = default_model(2, resolution=16)
+        got = initializers.resolve_initializer(model, {"kind": "random_trig"})
+        assert got.u.tobytes() == random_trig_graph(model).u.tobytes()
+
+    def test_given_keys_pass_with_their_coercions(self):
+        model = default_model(1, resolution=32)
+        spec = {"kind": "random_trig", "seed": 4.0, "center": 0.25, "amplitude": 1,
+                "max_mode": 1.0, "n_modes": 2.0, "rescale": 0, "margin_cap": 0.1}
+        got = initializers.resolve_initializer(model, spec)
+        want = random_trig_graph(model, seed=4, center=0.25, amplitude=1.0, max_mode=1,
+                                 n_modes=2, rescale=False)
+        # margin_cap is no key of a spec, and is ignored as before
+        assert got.u.tobytes() == want.u.tobytes()

@@ -25,6 +25,50 @@ from twistbench.graphs import _Kit, _kit, _small_det, _small_solve, coordinate_l
 from conftest import assert_bitwise, count_calls, random_trig_field, ripple
 
 
+def closed_forms(phi, t, grid):
+    """(phi, d/dt phi, d_F phi) of a factor, written out apart from the
+    kind table."""
+    shape = np.broadcast(np.asarray(t), grid.coords[0]).shape
+    zeros = np.zeros(shape + (grid.dim,))
+    if phi.kind == "constant":
+        return np.full(shape, phi.const), np.zeros(shape), zeros
+    if phi.kind == "fiber":
+        for i in range(grid.dim):
+            zeros[..., i] = grid.sample(phi.fiber_profile, i)
+        value = np.broadcast_to(grid.sample(phi.fiber_profile), shape).copy()
+        return value, np.zeros(shape), zeros
+    f = phi.twist.value(t, grid)
+    return (-phi.power * np.log(f), -phi.power * phi.twist.dlog_dt(t, grid),
+            -phi.power * phi.twist.fiber_partials(t, grid) / f[..., None])
+
+
+class TestFactorKinds:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_kind_matches_its_closed_form(self, dim):
+        model = default_model(dim, resolution=8, twist="additive", curved=True)
+        grid = model.fiber
+        heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0])
+        factors = [
+            ConformalFactor.constant(0.3),
+            ConformalFactor.static_picture(model.twist),
+            ConformalFactor.static_picture(model.twist, power=2.5),
+            ConformalFactor.fiber_only(ripple(grid, coeff=0.3, phase=0.4)),
+        ]
+        for phi in factors:
+            for t in (0.2, heights):
+                got = (phi.value(t, grid), phi.dt(t, grid), phi.fiber_partials(t, grid))
+                for actual, expected in zip(got, closed_forms(phi, t, grid)):
+                    assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("method", ["value", "dt", "fiber_partials"])
+    def test_neg_log_twist_reads_the_twist_once_per_call(self, monkeypatch, method):
+        model = default_model(2, resolution=8, twist="separable_gauss")
+        phi = ConformalFactor.static_picture(model.twist, power=2.0)
+        alongs = count_calls(monkeypatch, TwistedFunction, "along")
+        getattr(phi, method)(0.3, model.fiber)
+        assert len(alongs) == 1
+
+
 class TestTransformMeanCurvature:
     def test_constant_factor_rescales(self):
         model = default_model(1, twist="separable_gauss")

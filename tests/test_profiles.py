@@ -1,7 +1,18 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from twistbench import FiberGrid, TrigPolynomial
+from twistbench import (
+    FiberGrid,
+    SpacetimeModel,
+    TimeProfile,
+    TrigPolynomial,
+    TwistedFunction,
+    classify,
+    default_model,
+)
+from twistbench.profiles import TIME_KINDS
 
 from conftest import assert_bitwise
 
@@ -151,3 +162,79 @@ class TestFromSpecs:
         poly = TrigPolynomial.from_specs([{"coeff": 1.0, "wavevec": wavevec}], (1.0,))
         assert poly.modes == ((1.0, (2,), 0.0),)
         assert type(poly.modes[0][1][0]) is int
+
+
+# the closed forms each time profile kind stands for, written out apart from
+# ``TIME_KINDS``: (g, g') of t and the params
+CLOSED_FORMS = {
+    "constant": (lambda t, p: np.full_like(t, p["c"]), lambda t, p: np.zeros_like(t)),
+    "linear": (lambda t, p: p["a"] + p["b"] * t, lambda t, p: np.full_like(t, p["b"])),
+    "exp": (lambda t, p: np.exp(p["rate"] * t), lambda t, p: p["rate"] * np.exp(p["rate"] * t)),
+    "cosh": (lambda t, p: np.cosh(t), lambda t, p: np.sinh(t)),
+    "sech": (lambda t, p: 1.0 / np.cosh(t), lambda t, p: -np.tanh(t) / np.cosh(t)),
+    "gauss": (lambda t, p: np.exp(-t * t), lambda t, p: -2.0 * t * np.exp(-t * t)),
+}
+DEFAULTS = {"constant": {"c": 1.0}, "linear": {"a": 1.0, "b": 0.0}, "exp": {"rate": 1.0}}
+OWN_PARAMS = {"constant": {"c": 1.7}, "linear": {"a": 0.6, "b": -0.35}, "exp": {"rate": -0.8}}
+
+
+class TestTimeProfile:
+    def test_every_kind_has_a_closed_form(self):
+        assert list(CLOSED_FORMS) == list(TIME_KINDS)
+
+    @pytest.mark.parametrize("kind", list(TIME_KINDS))
+    @pytest.mark.parametrize("own", [False, True], ids=["defaults", "own-params"])
+    def test_value_and_deriv_match_the_closed_forms(self, kind, own):
+        given = OWN_PARAMS.get(kind, {}) if own else {}
+        profile = TimeProfile(kind, dict(given))
+        params = {**DEFAULTS.get(kind, {}), **given}
+        assert dict(profile.params) == params
+        value, deriv = CLOSED_FORMS[kind]
+        for t in (0.3, np.linspace(-1.5, 1.5, 7), np.linspace(-1.0, 1.0, 12).reshape(3, 1, 4)):
+            t = np.asarray(t, dtype=float)
+            assert_bitwise(profile.value(t), value(t, params))
+            assert_bitwise(profile.deriv(t), deriv(t, params))
+
+    @pytest.mark.parametrize("kind, param", [("exp", "c"), ("gauss", "rate"), ("linear", "rate"),
+                                             ("constant", "a"), ("cosh", "c")])
+    def test_an_undeclared_param_is_refused(self, kind, param):
+        with pytest.raises(ValueError, match=f"^time profile '{kind}' takes no param '{param}'$"):
+            TimeProfile(kind, {param: 3.0})
+
+    def test_params_are_read_only(self):
+        profile = TimeProfile("exp", {"rate": 2.0})
+        with pytest.raises(TypeError):
+            profile.params["rate"] = -1.0
+        assert profile.params["rate"] == 2.0
+
+    def test_a_model_pickles_with_its_profiles(self):
+        model = default_model(1, resolution=16, twist="additive")
+        copy = pickle.loads(pickle.dumps(model))
+        assert (copy.twist.g, copy.twist.q) == (model.twist.g, model.twist.q)
+        assert_bitwise(copy.twist.value(0.3, copy.fiber), model.twist.value(0.3, model.fiber))
+        with pytest.raises(TypeError):
+            copy.twist.q.params["b"] = 1.0
+
+    def test_changing_the_given_dict_changes_nothing_built_on_it(self):
+        # the twist of a model used to read the caller's dict at every call
+        grid = FiberGrid(1, (1.0,), (16,))
+        given = {"rate": 1.0}
+        twist = TwistedFunction("pure_time", g=TimeProfile("exp", given))
+        model = SpacetimeModel((-1.0, 1.0), grid, twist)
+        kept = model.dlog_dt_range(64), str(classify(model))
+        f = model.twist.value(0.3, grid)
+        given["rate"] = -1.0
+        assert model.dlog_dt_range(64) == kept[0] == (1.0, 1.0)
+        assert str(classify(model)) == kept[1] == "expanding"
+        assert_bitwise(model.twist.value(0.3, grid), f)
+        # computed afresh, not kept: the twist still reads rate 1
+        assert classify(model, t_samples=17).tag == "expanding"
+
+    def test_a_default_model_keeps_its_profile(self):
+        # writing g.params["rate"] used to change f while the model kept
+        # its d/dt log f range of (1, 1)
+        model = default_model(1, twist="grw_exp")
+        assert model.dlog_dt_range(64) == (1.0, 1.0)
+        with pytest.raises(TypeError):
+            model.twist.g.params["rate"] = -1.0
+        assert_bitwise(model.twist.dlog_dt(0.2, model.fiber), np.ones(model.fiber.shape))

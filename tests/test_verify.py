@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twistbench import FiberGrid, TwistedFunction, conformal, default_model, graphs, verify
+from twistbench.identities import DEFAULT_QUANTITIES
 from twistbench.initializers import corpus_graphs
 from twistbench.verify import (
     DEFAULT_THRESHOLDS,
@@ -35,6 +36,24 @@ class TestIdentitySuite:
         model = default_model(1, resolution=32, twist="separable_gauss")
         with pytest.raises(KeyError):
             run_identity_suite(model, identities=["nonsense"])
+
+    def test_empty_identity_list_is_refused(self):
+        # an empty list used to run the whole suite, 16 rows
+        model = default_model(1, resolution=32, twist="separable_gauss")
+        with pytest.raises(ValueError, match="^identities must name at least one identity$"):
+            run_identity_suite(model, identities=[])
+        with pytest.raises(ValueError, match="^quantities must name at least one identity$"):
+            run_convergence_study(model, quantities=[])
+
+    def test_none_runs_the_default_sets(self, monkeypatch):
+        model = default_model(1, resolution=32, twist="separable_gauss")
+        rows = run_identity_suite(model, count=1, identities=None)
+        assert [r["identity"] for r in rows] == list(IDENTITY_KINDS)
+        monkeypatch.setattr(verify, "run_identity_suite", lambda model, **kwargs: [
+            {"kind": "exact", "threshold": 1.0, "max_defect": 0.0, "resolution": [32]}
+            for _ in kwargs["identities"]])
+        rows = run_convergence_study(model, quantities=None)
+        assert tuple(r["identity"] for r in rows) == DEFAULT_QUANTITIES
 
     def test_threshold_override(self):
         model = default_model(1, resolution=128, twist="separable_gauss")
@@ -107,6 +126,30 @@ class TestConvergenceStudy:
         rows = run_convergence_study(model, quantities=["product_rule"], count=1)
         assert rows[0]["levels"] == [[32], [64], [128]]
 
+    def test_each_level_runs_the_identity_suite(self, monkeypatch):
+        suites = []
+        real = verify.run_identity_suite
+
+        def recorded(model, **kwargs):
+            rows = real(model, **kwargs)
+            suites.append((list(model.fiber.resolution), kwargs, rows))
+            return rows
+
+        monkeypatch.setattr(verify, "run_identity_suite", recorded)
+        model = default_model(1, resolution=32, twist="separable_gauss")
+        names = ["support_identity", "mean_curvature_two_path"]
+        thresholds = {"support_identity": 1e-30}
+        rows = run_convergence_study(model, quantities=names, count=2, seed0=7, amplitude=0.04,
+                                     factors=(1, 2), thresholds=thresholds)
+        assert [level for level, _, _ in suites] == [[32], [64]]
+        for _, kwargs, _ in suites:
+            assert kwargs == {"count": 2, "seed0": 7, "amplitude": 0.04, "identities": names,
+                              "thresholds": thresholds}
+        for i, row in enumerate(rows):
+            assert row["defects"] == [level_rows[i]["max_defect"] for _, _, level_rows in suites]
+        # the suite's kind and gate: the exact identity fails its override
+        assert rows[0]["kind"] == "exact" and not rows[0]["pass"]
+
     def test_registry_kinds_are_consistent(self):
         assert IDENTITY_KINDS["support_identity"] == "exact"
         assert IDENTITY_KINDS["mean_curvature_two_path"] == "order2"
@@ -148,8 +191,9 @@ class TestVerifyPathCounts:
         assert calls["static_laplacian_check"] == 5      # once per corpus graph
         suite_laplacians = calls["coordinate_laplacian"]
         suite_values = calls["value"]
-        # measured 20: 2 per area-variation check, the rest for the conformal
-        # factors; 210 when each moved copy of the area check took its own
+        # measured 10: 2 per area-variation check; 20 when the conformal
+        # factors read f through ``value`` rather than ``along``, 210 when
+        # each moved copy of the area check took its own
         assert suite_values <= 20
         suite_rates = calls["dt"]
         run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
@@ -243,6 +287,6 @@ class TestVerifyPathCounts:
             ("static_laplacian_relation", "laplacian_relation"),
             ("static_gradient_pairing", "gradient_pairing"),
         ]:
-            monkeypatch.setitem(verify._REGISTRY, name, (per_identity(field), "order2"))
+            monkeypatch.setitem(verify._REGISTRY, name, per_identity(field))
         separate = run_identity_suite(model, count=2)
         assert json.dumps(shared) == json.dumps(separate)

@@ -12,7 +12,8 @@ zeros and NaN payloads included), floats by ``float.hex``, everything else
 by ``repr``.
 
 The matrix covers the twist evaluators (6 twists, fiber dimensions 1-3,
-flat and curved fibers, scalar, per-node and blocked times), every kit
+flat and curved fibers, scalar, per-node and blocked times), every time
+profile kind and every conformal factor kind at the same times, every kit
 field in graph and pointwise form, both mean-curvature paths, the conformal
 and static-picture checks, the area's first-variation check on 20 sampled
 nodes and on every node, ``classify``, ``is_grw``, ``dlog_dt_range``,
@@ -28,11 +29,14 @@ round-off changes the other ``solve/*`` digests but must leave these equal.
     python3 tools/fingerprint.py --solve-baseline tools/solve_baseline.json
 
 writes those decisions, unhashed, with each solve's headline floats
-(``headlines``) instead.  The digests depend on the numpy build, so Tier-1
-holds the solves to this baseline: ``tests/test_solve_baseline.py``
-requires equal decisions and each float within 1e-12 of it.  A change
-that moves a solve's results on purpose regenerates the baseline in the
-same commit.
+(``headlines``) instead, and the model checks of every ``default_model``
+twist in fiber dimensions 1-3 at the desk resolutions (``model_checks``:
+the ``classify`` tag and t0, ``dlog_dt_range`` and the slice mean
+curvature).  The digests depend on the numpy build, so Tier-1 holds the
+solves and the models to this baseline: ``tests/test_solve_baseline.py``
+requires equal decisions and tags and each float within 1e-12 of it.  A
+change that moves a solve's or a model's results on purpose regenerates
+the baseline in the same commit.
 """
 
 import argparse
@@ -94,13 +98,17 @@ def _cases():
                 yield twist, dim, curved
 
 
+def _case_times(model):
+    """A case's times: a scalar, per-node heights and a block of times."""
+    heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * model.fiber.coords[0])
+    return {"scalar": 0.2, "heights": heights, "block": model.time_blocks(5)[0]}
+
+
 def twist_results(tb, out):
     for twist, dim, curved in _cases():
         model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
         fn, grid = model.twist, model.fiber
-        heights = 0.3 + 0.2 * np.sin(2.0 * np.pi * grid.coords[0])
-        times = {"scalar": 0.2, "heights": heights, "block": model.time_blocks(5)[0]}
-        for label, t in times.items():
+        for label, t in _case_times(model).items():
             key = f"twist/{twist}/d{dim}/{'curved' if curved else 'flat'}/{label}"
             for name in ("value", "dt", "fiber_partials", "dlog_dt", "fiber_grad_norm"):
                 out[f"{key}/{name}"] = digest(getattr(fn, name)(t, grid))
@@ -108,6 +116,50 @@ def twist_results(tb, out):
             tb.classify(model, t_samples=37), tb.is_grw(model, t_samples=33),
             model.dlog_dt_range(40), tb.slice_mean_curvature(model, 0.1),
         ])
+
+
+# each time profile kind with its default params and with params of its own
+PROFILE_PARAMS = {
+    "constant": {"c": 1.7},
+    "linear": {"a": 0.6, "b": -0.35},
+    "exp": {"rate": -0.8},
+    "cosh": {},
+    "sech": {},
+    "gauss": {},
+}
+
+
+def profile_results(tb, out):
+    for twist, dim, curved in _cases():
+        model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
+        for label, t in _case_times(model).items():
+            key = f"profile/{twist}/d{dim}/{'curved' if curved else 'flat'}/{label}"
+            for kind, params in PROFILE_PARAMS.items():
+                for name, profile in (("default", tb.TimeProfile(kind)),
+                                      ("params", tb.TimeProfile(kind, dict(params)))):
+                    out[f"{key}/{kind}/{name}"] = digest([profile.value(t), profile.deriv(t)])
+
+
+def conformal_factors(tb, model):
+    """One factor of each kind, and the static picture at power 2."""
+    ripple = tb.TrigPolynomial.from_specs(
+        [{"coeff": 0.3, "wavevec": (1,) + (0,) * (model.fiber.dim - 1), "phase": 0.4}],
+        model.fiber.periods)
+    return [tb.ConformalFactor.constant(0.3),
+            tb.ConformalFactor.static_picture(model.twist),
+            tb.ConformalFactor.static_picture(model.twist, power=2.0),
+            tb.ConformalFactor.fiber_only(ripple)]
+
+
+def factor_results(tb, out):
+    for twist, dim, curved in _cases():
+        model = tb.default_model(dim, resolution=8, twist=twist, curved=curved)
+        grid = model.fiber
+        for label, t in _case_times(model).items():
+            key = f"factor/{twist}/d{dim}/{'curved' if curved else 'flat'}/{label}"
+            for j, phi in enumerate(conformal_factors(tb, model)):
+                for name in ("value", "dt", "fiber_partials"):
+                    out[f"{key}/{j}/{name}"] = digest(getattr(phi, name)(t, grid))
 
 
 KIT_FIELDS = ("f", "dtf", "dlogf", "fiber_df", "mu", "rho", "cosh", "sinh_sq", "H", "support")
@@ -133,15 +185,8 @@ def kit_results(tb, out):
         out[f"{key}/obstruction"] = digest(tb.warped_obstruction(graph))
         out[f"{key}/slice_report"] = digest(tb.slice_condition_report(graph))
         out[f"{key}/static"] = digest(_outcome(lambda: tb.static_laplacian_check(graph)))
-        ripple = tb.TrigPolynomial.from_specs(
-            [{"coeff": 0.3, "wavevec": (1,) + (0,) * (dim - 1), "phase": 0.4}],
-            model.fiber.periods)
-        factors = [tb.ConformalFactor.constant(0.3),
-                   tb.ConformalFactor.static_picture(model.twist),
-                   tb.ConformalFactor.static_picture(model.twist, power=2.0),
-                   tb.ConformalFactor.fiber_only(ripple)]
         h = np.cos(2.0 * np.pi * model.fiber.coords[-1])
-        for j, phi in enumerate(factors):
+        for j, phi in enumerate(conformal_factors(tb, model)):
             out[f"{key}/conformal{j}"] = digest([
                 tb.transform_mean_curvature(graph, phi),
                 tb.conformal_laplacian_check(h, phi, graph),
@@ -222,15 +267,38 @@ def headlines(tb, model, outcome):
     return floats
 
 
+def baseline_models(tb):
+    """The baseline's models: name -> every ``default_model`` twist in fiber
+    dimensions 1-3 at the desk resolution (``traveling`` in 1-D)."""
+    return {f"{twist}/d{dim}": tb.default_model(dim, twist=twist)
+            for twist, dim, curved in _cases() if not curved}
+
+
+def model_checks(tb, model):
+    """A model's headline checks: the ``classify`` tag, and as floats its t0
+    (transitions only), ``dlog_dt_range`` at the certificate's default
+    sample count and the least and largest slice mean curvature at t = 0.1."""
+    cls = tb.classify(model)
+    lo, hi = model.dlog_dt_range(tb.SolveConfig().certificate_samples)
+    slice_h = tb.slice_mean_curvature(model, 0.1)
+    floats = {} if cls.t0 is None else {"classify/t0": cls.t0}
+    floats.update({"dlog_dt_range/inf": lo, "dlog_dt_range/sup": hi,
+                   "slice_mean_curvature/min": float(slice_h.min()),
+                   "slice_mean_curvature/max": float(slice_h.max())})
+    return {"tag": cls.tag, "floats": floats}
+
+
 def solve_baseline(tb):
-    """Decisions and headline floats of every fingerprinted solve, the
-    baseline that ``tests/test_solve_baseline.py`` holds results to."""
-    baseline = {}
+    """Decisions and headline floats of every fingerprinted solve, and the
+    model checks of every baseline model: the baseline that
+    ``tests/test_solve_baseline.py`` holds results to."""
+    solves = {}
     for name, (model, start, options) in solve_runs(tb).items():
         outcome = run_solve(tb, model, start, options)
-        baseline[name] = {"decisions": decisions(outcome),
-                          "floats": headlines(tb, model, outcome)}
-    return baseline
+        solves[name] = {"decisions": decisions(outcome),
+                        "floats": headlines(tb, model, outcome)}
+    models = {name: model_checks(tb, model) for name, model in baseline_models(tb).items()}
+    return {"solves": solves, "models": models}
 
 
 def solve_results(tb, out):
@@ -323,11 +391,12 @@ def main(argv=None):
         # one line per innermost list: a log entry reads as one line
         text = re.sub(r"\[[^\[\]{}]*\]", lambda m: json.dumps(json.loads(m[0])), text)
         Path(args.solve_baseline).write_text(text)
-        print(f"{len(baseline)} solves from {tb.__file__}", file=sys.stderr)
+        print(f"{len(baseline['solves'])} solves and {len(baseline['models'])} models "
+              f"from {tb.__file__}", file=sys.stderr)
         return
     out = {}
-    parts = (twist_results, kit_results, area_results, solve_results, positivity_results,
-             csv_results)
+    parts = (twist_results, profile_results, factor_results, kit_results, area_results,
+             solve_results, positivity_results, csv_results)
     for part in parts:
         part(tb, out)
     text = json.dumps(out, indent=1, sort_keys=True) + "\n"
