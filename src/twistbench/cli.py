@@ -96,7 +96,6 @@ def _run_solve(model, cfg, out_dir):
     from dataclasses import asdict
 
     from .config import SolveConfig
-    from .initializers import resolve_initializer
     from .serialize import (
         write_field_binary,
         write_field_csv,
@@ -106,9 +105,8 @@ def _run_solve(model, cfg, out_dir):
     from .solver import rigidity_report, solve
 
     block = cfg["solve"]
-    graph0 = resolve_initializer(model, _initializer_spec(block, cfg["seed"]))
     options = {key: value for key, value in block.items() if key != "initializer"}
-    solve_cfg = SolveConfig(initial=graph0, **options)
+    solve_cfg = SolveConfig(initial=_initializer_spec(block, cfg["seed"]), **options)
     outcome = solve(model, solve_cfg)
 
     formats = cfg["output"]["formats"]
@@ -127,8 +125,22 @@ def _run_solve(model, cfg, out_dir):
     return 4
 
 
-def _run_verify(model, cfg, out_dir):
+def _report_rows(task, key, rows, columns, cfg, out_dir, shown):
+    """Write a verify or convergence table, and its gnuplot ``columns`` when
+    asked; print one PASS/FAIL line per row, ``shown(row)`` after the name.
+    Returns the exit code: 0 if every row passes, else 4."""
     from .serialize import write_gnuplot_data, write_json
+
+    all_pass = all(r["pass"] for r in rows)
+    write_json({key: rows, "pass": all_pass, "config": cfg}, out_dir / f"{task}.json")
+    if "gnuplot-data" in cfg["output"]["formats"]:
+        write_gnuplot_data(columns, out_dir / f"{task}.dat")
+    for r in rows:
+        print(f"{'PASS' if r['pass'] else 'FAIL'} {r['identity']}: {shown(r)}")
+    return 0 if all_pass else 4
+
+
+def _run_verify(model, cfg, out_dir):
     from .verify import run_identity_suite
 
     block = cfg["verify"]
@@ -140,27 +152,18 @@ def _run_verify(model, cfg, out_dir):
         identities=block.get("identities"),
         thresholds=block.get("thresholds"),
     )
-    all_pass = all(r["pass"] for r in rows)
-    write_json({"identities": rows, "pass": all_pass, "config": cfg}, out_dir / "verify.json")
-    if "gnuplot-data" in cfg["output"]["formats"]:
-        write_gnuplot_data(
-            {
-                "index": list(range(len(rows))),
-                "max_defect": [r["max_defect"] for r in rows],
-                "threshold": [r["threshold"] for r in rows],
-            },
-            out_dir / "verify.dat",
-        )
-    for r in rows:
-        print(
-            f"{'PASS' if r['pass'] else 'FAIL'} {r['identity']}: "
-            f"max defect {r['max_defect']:.3e} (threshold {r['threshold']:.1e})"
-        )
-    return 0 if all_pass else 4
+    columns = {
+        "index": list(range(len(rows))),
+        "max_defect": [r["max_defect"] for r in rows],
+        "threshold": [r["threshold"] for r in rows],
+    }
+    return _report_rows(
+        "verify", "identities", rows, columns, cfg, out_dir,
+        lambda r: f"max defect {r['max_defect']:.3e} (threshold {r['threshold']:.1e})",
+    )
 
 
 def _run_convergence(model, cfg, out_dir):
-    from .serialize import write_gnuplot_data, write_json
     from .verify import run_convergence_study
 
     block = cfg["convergence"]
@@ -173,18 +176,13 @@ def _run_convergence(model, cfg, out_dir):
         factors=tuple(block["factors"]),
         min_order=block["min_order"],
     )
-    all_pass = all(r["pass"] for r in rows)
-    write_json({"quantities": rows, "pass": all_pass, "config": cfg}, out_dir / "convergence.json")
-    if "gnuplot-data" in cfg["output"]["formats"]:
-        columns = {"level": list(range(len(rows[0]["defects"])))}
-        for r in rows:
-            columns[f"defect_{r['identity']}"] = r["defects"]
-        write_gnuplot_data(columns, out_dir / "convergence.dat")
+    columns = {"level": list(range(len(rows[0]["defects"])))}
     for r in rows:
-        order = r["observed_order"]
-        shown = "exact" if order is None else f"order {order:.2f}"
-        print(f"{'PASS' if r['pass'] else 'FAIL'} {r['identity']}: {shown}")
-    return 0 if all_pass else 4
+        columns[f"defect_{r['identity']}"] = r["defects"]
+    return _report_rows(
+        "convergence", "quantities", rows, columns, cfg, out_dir,
+        lambda r: "exact" if r["observed_order"] is None else f"order {r['observed_order']:.2f}",
+    )
 
 
 def main(argv=None):

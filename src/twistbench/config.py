@@ -8,9 +8,14 @@ the exact dictionary that reports embed, which can be fed back to reproduce
 the run; initializer defaults stay with ``random_trig_graph``.  Each piece
 is read from its single declaration: the solve options from ``SolveConfig``,
 the twist families from ``TWIST_FAMILIES``, the time-profile kinds and
-their params from ``TIME_KINDS``, the random_trig keys from
-``RANDOM_TRIG_KEYS``, the identity names from ``IDENTITY_KINDS`` and the
-task defaults from ``VERIFY_DEFAULTS`` and ``CONVERGENCE_DEFAULTS``.
+their params from ``TIME_KINDS``, the initializer kinds and their keys from
+``INITIALIZER_KINDS``, and each verify and convergence key, with its
+default per task, from ``TASK_KEYS``.
+
+The twist, the time profile, the fiber metric and the initializer are each
+one ``_tagged`` block: the tag (``family`` or ``kind``) selects one branch,
+and the spec is checked against that branch only, so a schema error names
+the innermost spec at fault and the key that breaks it.
 """
 
 import copy
@@ -24,8 +29,8 @@ import jsonschema
 
 from .errors import ConfigError
 from .fiber_grid import FiberGrid
-from .identities import CONVERGENCE_DEFAULTS, IDENTITY_KINDS, VERIFY_DEFAULTS
-from .initializers import RANDOM_TRIG_KEYS
+from .identities import CONVERGENCE_DEFAULTS, TASK_KEYS, VERIFY_DEFAULTS
+from .initializers import INITIALIZER_KINDS
 from .profiles import TIME_KINDS, TimeProfile, TrigPolynomial
 from .spacetime import TWIST_FAMILIES, SpacetimeModel, TwistedFunction
 
@@ -116,25 +121,42 @@ class SolveConfig:
 # the options a solve block may set: every SolveConfig field but ``initial``
 _SOLVE_OPTIONS = [option for option in fields(SolveConfig) if option.metadata]
 
-# one branch per time-profile kind, each taking exactly its declared params
-_TIME_PROFILE = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": kind},
-                "params": {
-                    "type": "object",
+
+def _tagged(tag, branches):
+    """The schema of an object whose ``tag`` selects its branch.
+
+    ``branches`` maps each tag value to its keys' schema entries and the keys
+    it requires.  The tag must be one of them, and the object is checked
+    against the branch its tag selects only, taking exactly that branch's
+    keys, so an error names the innermost spec at fault.
+    """
+    return {
+        "type": "object",
+        "required": [tag],
+        "properties": {tag: {"enum": list(branches)}},
+        "allOf": [
+            {
+                "if": {"required": [tag], "properties": {tag: {"const": value}}},
+                "then": {
                     "additionalProperties": False,
-                    "properties": {name: {"type": "number"} for name in defaults},
+                    "required": required,
+                    "properties": {tag: True, **properties},
                 },
-            },
-        }
-        for kind, (defaults, _, _) in TIME_KINDS.items()
-    ]
-}
+            }
+            for value, (properties, required) in branches.items()
+        ],
+    }
+
+
+# one branch per time-profile kind, each taking exactly its declared params
+_TIME_PROFILE = _tagged("kind", {
+    kind: ({"params": {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {name: {"type": "number"} for name in defaults},
+    }}, [])
+    for kind, (defaults, _, _) in TIME_KINDS.items()
+})
 
 _TRIG_MODES = {
     "type": "array",
@@ -158,31 +180,22 @@ _TRIG_POLY = {
     "properties": {"modes": _TRIG_MODES},
 }
 
-# the schema entry of each twist constructor argument; the time profiles
-# refer to one definition, so checking the schema walks its branches once
+# the schema entry of each twist constructor argument; the time and fiber
+# profiles, like the initializer, refer to one definition each, so checking
+# the schema walks each of them once
 _TWIST_ARGUMENT = {
     "g": {"$ref": "#/$defs/time_profile"},
     "q": {"$ref": "#/$defs/time_profile"},
-    "s": _TRIG_POLY,
+    "s": {"$ref": "#/$defs/trig_poly"},
     "eps": {"type": "number"},
     "amp": {"type": "number"},
     "period": {"type": "number", "exclusiveMinimum": 0},
 }
 
-_TWIST = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", *arguments],
-            "properties": {
-                "family": {"const": family},
-                **{name: _TWIST_ARGUMENT[name] for name in arguments},
-            },
-        }
-        for family, arguments in TWIST_FAMILIES.items()
-    ]
-}
+_TWIST = _tagged("family", {
+    family: ({name: _TWIST_ARGUMENT[name] for name in arguments}, list(arguments))
+    for family, arguments in TWIST_FAMILIES.items()
+})
 
 _METRIC_AXIS = {
     "type": "object",
@@ -190,53 +203,30 @@ _METRIC_AXIS = {
     "properties": {"offset": {"type": "number"}, "modes": _TRIG_MODES},
 }
 
-_METRIC = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family"],
-            "properties": {"family": {"const": "flat"}},
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "axes"],
-            "properties": {
-                "family": {"const": "diag_trig"},
-                "axes": {
-                    "type": "array",
-                    "minItems": 1,
-                    "maxItems": 3,
-                    "items": {"oneOf": [{"type": "null"}, _METRIC_AXIS]},
-                },
-            },
-        },
-    ]
-}
+_METRIC = _tagged("family", {
+    "flat": ({}, []),
+    "diag_trig": ({"axes": {
+        "type": "array",
+        "minItems": 1,
+        "maxItems": 3,
+        "items": {"oneOf": [{"type": "null"}, _METRIC_AXIS]},
+    }}, ["axes"]),
+})
 
-_INITIALIZER = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind", "value"],
-            "properties": {"kind": {"const": "constant"}, "value": {"type": "number"}},
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {"kind": {"const": "random_trig"}, **RANDOM_TRIG_KEYS},
-        },
-    ]
-}
+_INITIALIZER = _tagged("kind", INITIALIZER_KINDS)
 
-# a list of identity names; None (the key left out) means the default set
-_IDENTITIES = {"type": "array", "minItems": 1, "items": {"enum": list(IDENTITY_KINDS)}}
+
+def _task_block(task):
+    """The schema of a verify or convergence block: the task's ``TASK_KEYS``."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {key: entry for key, (entry, defaults) in TASK_KEYS.items() if task in defaults},
+    }
+
 
 SCHEMA = {
-    "$defs": {"time_profile": _TIME_PROFILE},
+    "$defs": {"time_profile": _TIME_PROFILE, "trig_poly": _TRIG_POLY, "initializer": _INITIALIZER},
     "type": "object",
     "additionalProperties": False,
     "required": ["task", "spacetime", "output"],
@@ -282,46 +272,19 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "required": ["initializer"],
-            "properties": {"initializer": _INITIALIZER},
+            "properties": {"initializer": {"$ref": "#/$defs/initializer"}},
         },
         "solve": {
             "type": "object",
             "additionalProperties": False,
             "required": ["initializer"],
             "properties": {
-                "initializer": _INITIALIZER,
+                "initializer": {"$ref": "#/$defs/initializer"},
                 **{option.name: option.metadata["schema"] for option in _SOLVE_OPTIONS},
             },
         },
-        "verify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "corpus_count": {"type": "integer", "minimum": 1},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "identities": _IDENTITIES,
-                "thresholds": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {name: {"type": "number"} for name in IDENTITY_KINDS},
-                },
-            },
-        },
-        "convergence": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "quantities": _IDENTITIES,
-                "corpus_count": {"type": "integer", "minimum": 1},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "factors": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                },
-                "min_order": {"type": "number"},
-            },
-        },
+        "verify": _task_block("verify"),
+        "convergence": _task_block("convergence"),
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -426,7 +389,7 @@ def _build_metric_coeffs(metric_cfg, dim, periods):
 
 
 def _build_twist(cfg, periods):
-    # the schema's oneOf already fixes which keys each family carries
+    # the schema's branch for the family already fixes which keys it carries
     args = dict(cfg)
     for key in ("g", "q"):
         if key in args:

@@ -1,7 +1,7 @@
-"""The identity suite's names, kinds and default thresholds, and the verify
-and convergence defaults, apart from ``verify`` so that the config can read
-them without loading the geometry.  ``verify`` checks identity ``name`` with
-its function ``_name``.
+"""The identity suite's names, kinds and default thresholds, and the keys of
+the verify and convergence blocks, apart from ``verify`` so that the config
+can read them without loading the geometry.  ``verify`` checks identity
+``name`` with its function ``_name``.
 
 Order2 thresholds were measured on the standard corpus at the desk
 resolutions (128 / 64^2 / 16^3) and carry roughly 20x headroom, keyed by
@@ -33,15 +33,37 @@ IDENTITIES = {
 IDENTITY_KINDS = {name: kind for name, (kind, _) in IDENTITIES.items()}
 DEFAULT_THRESHOLDS = {name: threshold for name, (_, threshold) in IDENTITIES.items()}
 
-# a task block's defaults, keyed as in the config; the suites' signatures
-# read them too
-VERIFY_DEFAULTS = {"corpus_count": 5, "amplitude": 0.05}
-CONVERGENCE_DEFAULTS = {
-    "corpus_count": 3,
-    "amplitude": 0.05,
-    "factors": [1, 2, 4],
-    "min_order": 1.9,
+# a list of identity names; left out, the suite runs its default set
+_NAMES = {"type": "array", "minItems": 1, "items": {"enum": list(IDENTITY_KINDS)}}
+
+# each key of the verify and convergence blocks, once: its schema entry, and
+# its default in each task that takes it (None: left out unless given).  The
+# config schema and ``resolve`` read them, and the suites' signatures read
+# the defaults.
+TASK_KEYS = {
+    "quantities": (_NAMES, {"convergence": None}),
+    "corpus_count": ({"type": "integer", "minimum": 1}, {"verify": 5, "convergence": 3}),
+    "amplitude": ({"type": "number", "exclusiveMinimum": 0}, {"verify": 0.05, "convergence": 0.05}),
+    "identities": (_NAMES, {"verify": None}),
+    "thresholds": (
+        {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {name: {"type": "number"} for name in IDENTITY_KINDS},
+        },
+        {"verify": None},
+    ),
+    "factors": (
+        {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
+        {"convergence": [1, 2, 4]},
+    ),
+    "min_order": ({"type": "number"}, {"convergence": 1.9}),
 }
+VERIFY_DEFAULTS, CONVERGENCE_DEFAULTS = (
+    {key: defaults[task] for key, (_, defaults) in TASK_KEYS.items()
+     if defaults.get(task) is not None}
+    for task in ("verify", "convergence")
+)
 # the identities a convergence study refines when it is given none
 DEFAULT_QUANTITIES = (
     "mean_curvature_two_path",

@@ -15,6 +15,7 @@ from .profiles import TimeProfile, TrigPolynomial
 from .spacetime import SpacetimeModel, TwistedFunction
 
 __all__ = [
+    "INITIALIZER_KINDS",
     "RANDOM_TRIG_KEYS",
     "constant_graph",
     "random_trig_graph",
@@ -94,9 +95,8 @@ def random_trig_graph(
     return graph
 
 
-# the keys a random_trig spec may carry, with their schema entries: the
-# config schema reads them, and ``resolve_initializer`` coerces each value by
-# its type.  Their defaults are ``random_trig_graph``'s.
+# the keys a random_trig spec may carry, with their schema entries; their
+# defaults are ``random_trig_graph``'s
 RANDOM_TRIG_KEYS = {
     "seed": {"type": "integer", "minimum": 0},
     "center": {"type": "number"},
@@ -105,27 +105,43 @@ RANDOM_TRIG_KEYS = {
     "n_modes": {"type": "integer", "minimum": 1},
     "rescale": {"type": "boolean"},
 }
+
+# kind -> (its keys with their schema entries, the keys it requires): the
+# config schema reads them, and ``resolve_initializer`` checks a spec by them
+# and coerces each value by its type
+INITIALIZER_KINDS = {
+    "constant": ({"value": {"type": "number"}}, ["value"]),
+    "random_trig": (RANDOM_TRIG_KEYS, []),
+}
 _COERCIONS = {"integer": int, "number": float, "boolean": bool}
 
 
 def resolve_initializer(model, spec):
     """Build a graph from a GraphField or an initializer spec dict.
 
-    A random_trig spec passes the keys of ``RANDOM_TRIG_KEYS`` it carries to
-    ``random_trig_graph``, which supplies the rest; other keys are ignored.
+    A spec carries exactly the keys its kind declares in
+    ``INITIALIZER_KINDS``: an undeclared key or a missing required one is a
+    ConfigError, as in a config.  ``random_trig_graph`` supplies the keys a
+    random_trig spec leaves out.
     """
     if isinstance(spec, GraphField):
         return spec
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("initializer must be a GraphField or a {kind: ...} dict")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in INITIALIZER_KINDS:
+        raise ConfigError(f"unknown initializer kind {kind!r}")
+    keys, required = INITIALIZER_KINDS[kind]
+    unknown = spec.keys() - {"kind", *keys}
+    if unknown:
+        raise ConfigError(f"initializer {kind!r} takes no key {min(unknown)!r}")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"initializer {kind!r} needs {key!r}")
+    args = {key: _COERCIONS[keys[key]["type"]](spec[key]) for key in spec if key != "kind"}
     if kind == "constant":
-        return constant_graph(model, spec["value"])
-    if kind == "random_trig":
-        args = {key: _COERCIONS[entry["type"]](spec[key])
-                for key, entry in RANDOM_TRIG_KEYS.items() if key in spec}
-        return random_trig_graph(model, **args)
-    raise ConfigError(f"unknown initializer kind {kind!r}")
+        return constant_graph(model, args["value"])
+    return random_trig_graph(model, **args)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@ def broken_configs():
     return [unknown_key, wrong_type, missing, bad_mode, bad_family, bad_kind]
 
 
+_TWIST_SCHEMA = config_mod.SCHEMA["properties"]["spacetime"]["properties"]["twist"]
+
+
+def _branches(block, tag):
+    """A tagged block's branch for each tag value, in the order of its enum."""
+    branches = {branch["if"]["properties"][tag]["const"]: branch["then"] for branch in block["allOf"]}
+    assert list(branches) == block["properties"][tag]["enum"]
+    return branches
+
+
 class TestValidate:
     def test_schema_is_checked_once_per_process(self, monkeypatch):
         config_mod._validator.cache_clear()
@@ -350,9 +360,11 @@ class TestCatalogSchema:
     def test_twist_schema_lists_each_family_and_its_arguments(self):
         from twistbench.spacetime import TWIST_FAMILIES
 
-        branches = config_mod.SCHEMA["properties"]["spacetime"]["properties"]["twist"]["oneOf"]
-        got = {b["properties"]["family"]["const"]: b["required"][1:] for b in branches}
+        branches = _branches(_TWIST_SCHEMA, "family")
+        got = {family: branch["required"] for family, branch in branches.items()}
         assert got == {family: list(args) for family, args in TWIST_FAMILIES.items()}
+        assert all(list(branch["properties"])[1:] == branch["required"]
+                   for branch in branches.values())
 
     @pytest.mark.parametrize("kind", ["constant", "linear", "exp", "cosh", "sech", "gauss"])
     def test_every_time_profile_kind_builds(self, kind):
@@ -362,13 +374,12 @@ class TestCatalogSchema:
         assert model.twist.g.kind == kind
 
     def test_time_profile_schema_has_one_branch_per_kind(self):
-        twist = config_mod.SCHEMA["properties"]["spacetime"]["properties"]["twist"]
-        refs = [family["properties"][key] for family in twist["oneOf"]
-                for key in ("g", "q") if key in family["properties"]]
+        refs = [branch["properties"][key] for branch in _branches(_TWIST_SCHEMA, "family").values()
+                for key in ("g", "q") if key in branch["properties"]]
         assert refs == [{"$ref": "#/$defs/time_profile"}] * 4
-        branches = config_mod.SCHEMA["$defs"]["time_profile"]["oneOf"]
-        got = {b["properties"]["kind"]["const"]: list(b["properties"]["params"]["properties"])
-               for b in branches}
+        branches = _branches(config_mod.SCHEMA["$defs"]["time_profile"], "kind")
+        got = {kind: list(branch["properties"]["params"]["properties"])
+               for kind, branch in branches.items()}
         assert got == {kind: list(defaults) for kind, (defaults, _, _) in TIME_KINDS.items()}
 
     @pytest.mark.parametrize("kind", list(TIME_KINDS))
@@ -387,19 +398,41 @@ class TestCatalogSchema:
         with pytest.raises(ConfigError) as exc:
             config_mod.validate(raw)
         assert str(exc.value) == (
-            "config schema violation at spacetime/twist: {'family': 'separable', "
-            "'g': {'kind': 'sinh'}, 'eps': 0.1, 's': {'modes': [{'coeff': 1.0, 'wavevec': [1]}]}} "
-            "is not valid under any of the given schemas"
+            "config schema violation at spacetime/twist/g/kind: 'sinh' is not one of "
+            "['constant', 'linear', 'exp', 'cosh', 'sech', 'gauss']"
         )
 
-    def test_random_trig_schema_reads_the_initializer_keys(self):
+    def test_initializer_schema_reads_the_initializer_kinds(self):
         for task in ("geometry", "solve"):
             block = config_mod.SCHEMA["properties"][task]["properties"]["initializer"]
-            branch = block["oneOf"][1]
-            assert branch["properties"] == {"kind": {"const": "random_trig"},
-                                            **initializers.RANDOM_TRIG_KEYS}
+            assert block == {"$ref": "#/$defs/initializer"}
+        branches = _branches(config_mod.SCHEMA["$defs"]["initializer"], "kind")
+        got = {kind: (dict(list(branch["properties"].items())[1:]), branch["required"])
+               for kind, branch in branches.items()}
+        assert got == initializers.INITIALIZER_KINDS
+        assert initializers.INITIALIZER_KINDS["random_trig"][0] is initializers.RANDOM_TRIG_KEYS
         parameters = inspect.signature(initializers.random_trig_graph).parameters
         assert set(initializers.RANDOM_TRIG_KEYS) < set(parameters)
+
+    def test_no_one_of_over_tagged_objects(self):
+        def walk(node):
+            if isinstance(node, dict):
+                for branch in node.get("oneOf", []):
+                    entries = branch.get("properties", {}).values()
+                    assert not any(isinstance(e, dict) and "const" in e for e in entries)
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        walk(config_mod.SCHEMA)
+
+    @pytest.mark.parametrize("key", ["corpus_count", "amplitude"])
+    def test_shared_task_keys_have_one_schema_entry(self, key):
+        entry = identities.TASK_KEYS[key][0]
+        for task in ("verify", "convergence"):
+            assert config_mod.SCHEMA["properties"][task]["properties"][key] is entry
 
     def test_task_defaults_come_from_the_identity_table(self):
         assert config_mod._TASK_DEFAULTS["verify"] is identities.VERIFY_DEFAULTS
@@ -424,6 +457,110 @@ class TestCatalogSchema:
             assert task != "convergence" or resolved[task]["factors"] is not defaults["factors"]
 
 
+def _with_twist(twist):
+    raw = valid_config()
+    raw["spacetime"]["twist"] = twist
+    return raw
+
+
+def _with_metric(metric):
+    raw = valid_config()
+    raw["spacetime"]["fiber"]["metric"] = metric
+    return raw
+
+
+def _with_initializer(spec):
+    raw = solve_config()
+    raw["solve"]["initializer"] = spec
+    return raw
+
+
+class TestTaggedMessages:
+    """Each spec is checked against the branch its tag selects, so an error
+    names the innermost spec and the key that breaks it."""
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (_with_initializer({"kind": "random_trig", "amplitud": 0.1}),
+             "solve/initializer: Additional properties are not allowed ('amplitud' was unexpected)"),
+            # used to read "solve/initializer/kind: 'random_trig' was expected"
+            (_with_initializer({"kind": "constant"}),
+             "solve/initializer: 'value' is a required property"),
+            (_with_twist({"family": "separable", "g": {"kind": "gauss"}, "eps": 0.1,
+                          "s": {"modes": [{"coeff": 1.0, "wavevec": [1]}]}, "q": {"kind": "exp"}}),
+             "spacetime/twist: Additional properties are not allowed ('q' was unexpected)"),
+            (_with_twist({"family": "pure_time", "g": {"kind": "exp", "params": {"c": 0.5}}}),
+             "spacetime/twist/g/params: Additional properties are not allowed ('c' was unexpected)"),
+            (_with_twist({"family": "spiral", "g": {"kind": "gauss"}}),
+             "spacetime/twist/family: 'spiral' is not one of "
+             "['pure_time', 'separable', 'additive', 'traveling']"),
+            (_with_twist({"family": "pure_time", "g": {"kind": "sinh"}}),
+             "spacetime/twist/g/kind: 'sinh' is not one of "
+             "['constant', 'linear', 'exp', 'cosh', 'sech', 'gauss']"),
+            (_with_initializer({"kind": "zero"}),
+             "solve/initializer/kind: 'zero' is not one of ['constant', 'random_trig']"),
+            (_with_metric({"family": "flat", "axes": [None]}),
+             "spacetime/fiber/metric: Additional properties are not allowed ('axes' was unexpected)"),
+            (_with_metric({"family": "diag_trig"}),
+             "spacetime/fiber/metric: 'axes' is a required property"),
+            (_with_twist({"g": {"kind": "gauss"}}),
+             "spacetime/twist: 'family' is a required property"),
+        ],
+        ids=["amplitud", "constant_without_value", "separable_with_q", "exp_with_c",
+             "unknown_family", "unknown_kind", "unknown_initializer", "flat_with_axes",
+             "diag_trig_without_axes", "no_family"],
+    )
+    def test_message_names_the_offending_key(self, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            config_mod.validate(raw)
+        assert str(exc.value) == f"config schema violation at {message}"
+
+
+# a value for every key a twist, metric or initializer branch declares
+_KEY_VALUES = {
+    "g": {"kind": "gauss"}, "q": {"kind": "exp"}, "s": {"modes": [{"coeff": 1.0, "wavevec": [1]}]},
+    "eps": 0.1, "amp": 0.3, "period": 1.0, "axes": [None],
+    "value": 0.1, "seed": 1, "center": 0.0, "amplitude": 0.1, "max_mode": 1, "n_modes": 2,
+    "rescale": True, "margin_cap": 0.1,
+}
+
+
+def _declared_key_cases():
+    """(tag, declared keys, required keys, build) for every branch of the
+    twist, the metric and the initializer, from each one's declaration."""
+    from twistbench.spacetime import TWIST_FAMILIES
+
+    yield from ((("family", family), list(args), list(args), _with_twist)
+                for family, args in TWIST_FAMILIES.items())
+    yield ("family", "flat"), [], [], _with_metric
+    yield ("family", "diag_trig"), ["axes"], ["axes"], _with_metric
+    yield from ((("kind", kind), list(keys), required, _with_initializer)
+                for kind, (keys, required) in initializers.INITIALIZER_KINDS.items())
+
+
+_DECLARED_KEY_CASES = list(_declared_key_cases())
+
+
+class TestEachTagTakesItsDeclaredKeys:
+    @pytest.mark.parametrize("tag, declared, required, build", _DECLARED_KEY_CASES,
+                             ids=[tag[1] for tag, _, _, _ in _DECLARED_KEY_CASES])
+    def test_exactly_the_declared_keys(self, tag, declared, required, build):
+        name, value = tag
+        spec = {name: value, **{key: _KEY_VALUES[key] for key in declared}}
+        refused = [{**spec, key: _KEY_VALUES[key]} for key in _KEY_VALUES.keys() - declared]
+        refused += [{k: v for k, v in spec.items() if k != key} for key in required]
+        config_mod.validate(build(spec))
+        for wrong in refused:
+            assert not _accepts(lambda: config_mod.validate(build(wrong)), ConfigError), wrong
+        if build is _with_initializer:
+            model = default_model(1, resolution=32)
+            initializers.resolve_initializer(model, spec)
+            for wrong in refused:
+                with pytest.raises(ConfigError):
+                    initializers.resolve_initializer(model, wrong)
+
+
 class TestRandomTrigInitializer:
     def test_a_bare_spec_takes_random_trig_graphs_defaults(self):
         model = default_model(2, resolution=16)
@@ -433,9 +570,35 @@ class TestRandomTrigInitializer:
     def test_given_keys_pass_with_their_coercions(self):
         model = default_model(1, resolution=32)
         spec = {"kind": "random_trig", "seed": 4.0, "center": 0.25, "amplitude": 1,
-                "max_mode": 1.0, "n_modes": 2.0, "rescale": 0, "margin_cap": 0.1}
+                "max_mode": 1.0, "n_modes": 2.0, "rescale": 0}
         got = initializers.resolve_initializer(model, spec)
         want = random_trig_graph(model, seed=4, center=0.25, amplitude=1.0, max_mode=1,
                                  n_modes=2, rescale=False)
-        # margin_cap is no key of a spec, and is ignored as before
         assert got.u.tobytes() == want.u.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # margin_cap is random_trig_graph's argument but no key of a spec;
+            # it and a misspelt key used to be dropped without a word
+            ({"kind": "random_trig", "margin_cap": 0.1},
+             "initializer 'random_trig' takes no key 'margin_cap'"),
+            ({"kind": "random_trig", "amplitud": 0.1},
+             "initializer 'random_trig' takes no key 'amplitud'"),
+            # used to raise KeyError: 'value'
+            ({"kind": "constant"}, "initializer 'constant' needs 'value'"),
+            ({"kind": "constant", "value": 0.1, "seed": 1},
+             "initializer 'constant' takes no key 'seed'"),
+            ({"kind": "zero"}, "unknown initializer kind 'zero'"),
+        ],
+        ids=["margin_cap", "amplitud", "no_value", "constant_seed", "unknown_kind"],
+    )
+    def test_api_refuses_what_the_schema_refuses(self, spec, message):
+        model = default_model(1, resolution=32)
+        with pytest.raises(ConfigError) as exc:
+            initializers.resolve_initializer(model, spec)
+        assert str(exc.value) == message
+        raw = solve_config()
+        raw["solve"]["initializer"] = spec
+        with pytest.raises(ConfigError):
+            config_mod.validate(raw)
