@@ -331,14 +331,15 @@ def load_config(path):
 
 @functools.cache
 def _validator():
-    """The SCHEMA validator, with the schema itself checked once per process."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+    """The SCHEMA validator.  SCHEMA is a constant, so its own validity
+    under the 2020-12 metaschema is checked by the test suite
+    (``tests/test_config.py``), not in every process that loads a config."""
+    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def validate(raw):
-    # the same error jsonschema.validate would raise, without re-checking SCHEMA
+    # the same error jsonschema.validate would raise; the schema's own
+    # validity is checked by the test suite, not here
     exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if exc is not None:
         location = "/".join(str(p) for p in exc.absolute_path) or "<root>"

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import json
 import math
 
 import jsonschema
@@ -67,27 +68,44 @@ def _branches(block, tag):
 
 
 class TestValidate:
-    def test_schema_is_checked_once_per_process(self, monkeypatch):
-        config_mod._validator.cache_clear()
+    def test_schema_is_valid_under_its_metaschema(self):
+        # validation never runs check_schema, so this is where SCHEMA is held to it
         cls = jsonschema.validators.validator_for(config_mod.SCHEMA)
-        check_schema = cls.check_schema
-        calls = []
+        cls.check_schema(config_mod.SCHEMA)
+        broken = copy.deepcopy(config_mod.SCHEMA)
+        twist = broken["properties"]["spacetime"]["properties"]["twist"]
+        _branches(twist, "family")["separable"]["additionalProperties"] = "no"
+        with pytest.raises(jsonschema.SchemaError):
+            cls.check_schema(broken)
 
-        def counted(klass, schema, *args, **kwargs):
-            calls.append(schema)
-            return check_schema(schema, *args, **kwargs)
+    def test_validation_never_checks_the_schema(self, monkeypatch, tmp_path):
+        def outcomes():
+            """What load_config, validate and resolve give on each config:
+            the resolved dict, or each ConfigError's message."""
+            got = []
+            for n, raw in enumerate([valid_config(), *broken_configs()]):
+                path = tmp_path / f"config{n}.json"
+                path.write_text(json.dumps(raw))
+                for run in (config_mod.load_config, config_mod.validate, config_mod.resolve):
+                    try:
+                        got.append(run(path if run is config_mod.load_config else copy.deepcopy(raw)))
+                    except ConfigError as exc:
+                        got.append(str(exc))
+            return got
 
-        monkeypatch.setattr(cls, "check_schema", classmethod(counted))
-        try:
-            for _ in range(3):
-                config_mod.validate(valid_config())
-            for raw in broken_configs():
-                with pytest.raises(ConfigError):
-                    config_mod.validate(raw)
-            config_mod.resolve(valid_config())
-        finally:
-            config_mod._validator.cache_clear()
-        assert calls == [config_mod.SCHEMA]
+        def refuse(klass, schema, *args, **kwargs):
+            raise AssertionError("check_schema called while validating a config")
+
+        cls = jsonschema.validators.validator_for(config_mod.SCHEMA)
+        expected = outcomes()
+        monkeypatch.setattr(cls, "check_schema", classmethod(refuse))
+        with pytest.raises(AssertionError):
+            cls.check_schema(config_mod.SCHEMA)
+        config_mod._validator.cache_clear()   # rebuilt under the patch
+        assert outcomes() == expected
+        assert expected[:3] == [valid_config(), valid_config(), config_mod.resolve(valid_config())]
+        assert all(message.startswith("config schema violation at ") for message in expected[3:])
+        assert len(set(expected[3:])) == len(broken_configs())
 
     def test_errors_match_jsonschema_validate(self):
         for raw in broken_configs():

@@ -6,8 +6,10 @@ at every path a value is set (to a fixed pool of values, and to each name of
 the matching tag), deleted, or a key or item is added.  Each verdict is
 compared with the committed string in ``config_verdicts.txt``, one character
 per mutation (``1`` accepted, ``0`` refused), so a change to how the schema
-is written cannot change what it accepts.  After a deliberate change to what
-configs are valid, rewrite the file with
+is written cannot change what it accepts.  Every accepted config is also
+resolved, and its resolved dict must resolve to itself, as it is and after
+a trip through JSON.  After a deliberate change to what configs are valid,
+rewrite the file with
 
     PYTHONPATH=src python tests/test_config_corpus.py > tests/config_verdicts.txt
 """
@@ -200,6 +202,20 @@ class TestMutationCorpus:
         assert len(got) == len(want) == len(cases)
         changed = [f"{cases[i][0]}: {want[i]} -> {got[i]}" for i in range(len(got)) if got[i] != want[i]]
         assert not changed, "\n".join(changed[:20])
+
+    def test_resolve_round_trips_every_accepted_config(self):
+        # the resolved dict "can be fed back to reproduce the run": resolving
+        # it again, as it is or after a trip through JSON, changes nothing
+        accepted = [(label, raw) for (label, raw), mark in zip(mutations(), _committed()) if mark == "1"]
+        assert len(accepted) >= 500
+        moved = []
+        for label, raw in accepted:
+            resolved = config_mod.resolve(raw)
+            if config_mod.resolve(resolved) != resolved:
+                moved.append(f"{label}: resolve(resolve(raw)) differs")
+            if config_mod.resolve(json.loads(json.dumps(resolved))) != resolved:
+                moved.append(f"{label}: resolving its JSON differs")
+        assert not moved, "\n".join(moved[:20])
 
 
 if __name__ == "__main__":
