@@ -87,17 +87,20 @@ class _Kit:
     The kit reads the heights ``u`` and, unless ``du`` gives it, their
     covector D_i u.  A given covector makes the kit pointwise: every
     quantity but H is then a function of (u, du) node by node, which is
-    what the solver's Jacobian differentiates.  The heights are not checked
-    against the model's interval; ``GraphField`` does that.
+    what the solver's Jacobian differentiates.  Kits at the same heights
+    may share one evaluator through ``twist`` (``model.twist.along(u,
+    grid)``).  The heights are not checked against the model's interval;
+    ``GraphField`` does that.
     """
 
-    def __init__(self, model, u, du=None, require_spacelike=True):
+    def __init__(self, model, u, du=None, require_spacelike=True, twist=None):
         grid = model.fiber
 
         self.grid = grid
         self.n = grid.dim
         self.u = u
-        self._twist = model.twist.along(u, grid)  # dtf and fiber_df read it too
+        # dtf and fiber_df read it too
+        self._twist = model.twist.along(u, grid) if twist is None else twist
         self.f = self._twist.f
 
         self.du = grid.partials(u) if du is None else du  # covector D_i u
@@ -229,7 +232,8 @@ def _small_solve(g, v, det):
     ``v`` has shape ``+ (n,)`` and ``det`` is ``_small_det(g)``.  No symmetry
     of ``g`` is assumed.  Each output component is accumulated from the
     cofactors of one column of ``g``, so no n x n intermediate is formed;
-    ``x`` is stored component by component.
+    ``x`` is stored component by component.  For n = 3 the cofactor
+    products go into two node arrays reused for all nine cofactors.
     """
     n = g.shape[-1]
     x = component_array(v.shape[:-1], n)
@@ -242,6 +246,7 @@ def _small_solve(g, v, det):
         np.divide(d * v0 - b * v1, det, out=x[..., 0])
         np.divide(a * v1 - c * v0, det, out=x[..., 1])
         return x
+    cof, product = np.empty(det.shape), np.empty(det.shape)
     for i in range(3):
         # x_i = sum_j C_ji v_j / det, with C_ji the cofactor of entry (j, i):
         # the 2 x 2 minor on the other rows p, q and columns k, l, taken in
@@ -250,12 +255,13 @@ def _small_solve(g, v, det):
         acc = x[..., i]
         for j in range(3):
             p, q = (j + 1) % 3, (j + 2) % 3
-            cof = g[..., p, k] * g[..., q, l] - g[..., p, l] * g[..., q, k]
-            cof *= v[..., j]
+            term = cof if j else acc  # the first term is written in place
+            np.multiply(g[..., p, k], g[..., q, l], out=term)
+            np.multiply(g[..., p, l], g[..., q, k], out=product)
+            term -= product
+            term *= v[..., j]
             if j:
-                acc += cof
-            else:
-                acc[...] = cof
+                acc += term
         acc /= det
     return x
 
@@ -325,7 +331,11 @@ def induced_metric(graph):
 
 def grad_tau(graph):
     """Graph gradient of the time-height function: f^2 rho^2 (grad_F u)^i."""
-    kit = _kit(graph)
+    return _grad_tau(_kit(graph))
+
+
+def _grad_tau(kit):
+    """``grad_tau`` from a kit the caller already holds."""
     return ((kit.f * kit.rho) ** 2)[..., None] * kit.grad_u
 
 
@@ -384,6 +394,12 @@ def laplacian_tau_coordinate(graph):
     return coordinate_laplacian(graph.grid, _kit(graph).metric(), graph.u)
 
 
+def _laplacian_tau_coordinate(kit):
+    """``laplacian_tau_coordinate`` from a kit the caller already holds; the
+    coordinate path reads only the kit's assembled metric and u."""
+    return coordinate_laplacian(kit.grid, kit.metric(), kit.u)
+
+
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -436,8 +452,13 @@ def mean_curvature_from_laplacian(graph):
     lap tau from the coordinate path, hence fully independent of the
     fiber-form flux evaluation above.
     """
-    lap = laplacian_tau_coordinate(graph)
     kit = _kit(graph)
+    return _mean_curvature_from_laplacian(kit, _laplacian_tau_coordinate(kit))
+
+
+def _mean_curvature_from_laplacian(kit, lap):
+    """``mean_curvature_from_laplacian`` from a kit and the coordinate-path
+    time-height Laplacian ``lap`` of its graph."""
     return (lap + (kit.n + kit.sinh_sq) * kit.dlogf) / (kit.n * kit.cosh)
 
 
@@ -447,7 +468,11 @@ def unit_normal(graph):
     Returns (N0, NF) with N0 = cosh theta = f^2 rho and NF^i = rho (grad_F u)^i;
     the ambient norm -N0^2 + f^2 |NF|^2 equals -1 pointwise.
     """
-    kit = _kit(graph)
+    return _unit_normal(_kit(graph))
+
+
+def _unit_normal(kit):
+    """``unit_normal`` from a kit the caller already holds."""
     return kit.cosh.copy(), kit.rho[..., None] * kit.grad_u
 
 
@@ -474,8 +499,7 @@ def warped_obstruction(graph):
 def _warped_obstruction(kit, g):
     """``warped_obstruction`` from a kit and its assembled metric ``g``."""
     grad_f = _small_solve(g, kit.composed_df(), _small_det(g))
-    gt = ((kit.f * kit.rho) ** 2)[..., None] * kit.grad_u
-    X = -kit.dtf[..., None] * gt + grad_f
+    X = -kit.dtf[..., None] * _grad_tau(kit) + grad_f
     norm_sq = np.einsum("...i,...ij,...j->...", X, g, X)
     norm = np.sqrt(np.maximum(norm_sq, 0.0))
     return ObstructionResult(components=X, norm=norm, max_norm=float(norm.max()))

@@ -333,23 +333,26 @@ def _linearization(model, u, du, target):
     pair of pointwise kits, divided by the step the perturbed value actually
     received, so the rounding of u + eps does not enter the quotient.  The
     relative step 1e-6 gives J to about 1e-11 of its largest entry, the
-    least error over steps from 1e-4 to 1e-8.
+    least error over steps from 1e-4 to 1e-8.  The 2n kits with a moved
+    covector all sit at u and share one evaluation of the twist there.
     """
     n = model.fiber.dim
     dF = np.empty((n + 1, *du.shape))
     dP = np.empty((n + 1, *u.shape))
+    twist_at_u = model.twist.along(u, model.fiber)
     for a in range(n + 1):
         kits, moved = [], []
         for sign in (1.0, -1.0):
-            at, cov = u, du
+            at, cov, twist = u, du, twist_at_u
             if a == 0:
                 at = u + sign * 1e-6 * (1.0 + float(np.max(np.abs(u))))
                 moved.append(at)
+                twist = None  # moved heights: the kit evaluates its own
             else:
                 cov = np.copy(du)  # keeps du's component-major layout
                 cov[..., a - 1] += sign * 1e-6 * (1.0 + float(np.max(np.abs(du))))
                 moved.append(cov[..., a - 1])
-            kits.append(_Kit(model, at, cov, require_spacelike=False))
+            kits.append(_Kit(model, at, cov, require_spacelike=False, twist=twist))
         width = moved[0] - moved[1]
         dF[a] = (kits[0].flux() - kits[1].flux()) / width[..., None]
         dP[a] = (_pointwise_residual(kits[0], target)
@@ -571,7 +574,10 @@ def _relaxation_step(driver, kit, rnorm, ds):
     if peak == 0.0:
         return None
     grid = kit.grid
-    stencil = component_sum(1.0 / (grid.metric_diag * grid.spacing**2))
+    stencil = grid.cached(
+        "relaxation_stencil",
+        lambda: component_sum(1.0 / (grid.metric_diag * grid.spacing**2)),
+    )
     stable = 0.9 / (float(np.max(kit.cosh * kit.rho * stencil)) / kit.n)
     ds = min(ds * 1.25, stable, 0.02 * driver.span / peak)
     return _backtrack(driver, kit.u, flow, ds, lambda r, _: r <= 1.05 * rnorm, 16)
@@ -599,7 +605,7 @@ def _edge_margin(kit):
 def _verify_converged(driver, kit, rnorm):
     """Re-check a converged iterate: ``rnorm`` is its residual through the
     fiber-form curvature of ``kit``; the coordinate-form second path builds
-    its own kits from the graph.  Both must pass, with the safeguards, and
+    its own kit from the graph.  Both must pass, with the safeguards, and
     u must carry no grid-scale mode: its sublattice spread must be at
     round-off and its edge margin below 1.  Returns (failure or None,
     graph, diagnostics)."""

@@ -173,9 +173,11 @@ class TestVerifyPathCounts:
 
     def test_ceilings(self, monkeypatch):
         calls = dict.fromkeys(
-            ("det", "solve", "static_laplacian_check", "coordinate_laplacian", "value", "dt"),
+            ("det", "solve", "static_laplacian_check", "coordinate_laplacian", "value", "dt",
+             "__init__"),
             0,
         )
+        self.counting(monkeypatch, graphs._Kit, "__init__", calls)
         self.counting(monkeypatch, TwistedFunction, "value", calls)
         self.counting(monkeypatch, TwistedFunction, "dt", calls)
         self.counting(monkeypatch, np.linalg, "det", calls)
@@ -196,7 +198,15 @@ class TestVerifyPathCounts:
         # each moved copy of the area check took its own
         assert suite_values <= 20
         suite_rates = calls["dt"]
+        # measured 65: one per corpus graph and per graph of each identity
+        # that reads one, 10 more for the warped companion's corpus and
+        # obstruction; 95 when each public one-graph function built its own
+        suite_kits = calls["__init__"]
+        assert suite_kits <= 65
         run_convergence_study(model, quantities=["laplacian_tau_two_path"], count=1)
+        # the corpus graph and the two-path's kit on each of three levels: 9
+        # when the fiber and coordinate forms each built one
+        assert calls["__init__"] - suite_kits <= 6
         assert calls["det"] == 0 and calls["solve"] == 0
         # the refined models check positivity on their fiber factors, and the
         # kits evaluate f with the partials: 100 value calls when each model
@@ -235,20 +245,91 @@ class TestVerifyPathCounts:
         # one per catalog factor (4 a graph) when each check built its own
         assert calls["__init__"] == len(ctx.graphs)
 
+    @pytest.mark.parametrize("identity", [
+        "mean_curvature_two_path",
+        "laplacian_tau_two_path",
+        "unit_normal_norm",
+        "support_identity",
+        "grad_tau_contraction",
+    ])
+    def test_one_kit_per_graph_for_each_identity(self, monkeypatch, identity):
+        model = default_model(3, resolution=8, twist="separable_gauss", curved=True)
+        ctx = verify._Context(model=model, graphs=corpus_graphs(model, count=2), seed0=100)
+        calls = {"__init__": 0}
+        self.counting(monkeypatch, graphs._Kit, "__init__", calls)
+        verify._REGISTRY[identity](ctx)
+        # 3 a graph for the mean-curvature two-path and 2 for the others when
+        # each public one-graph function built its own
+        assert calls["__init__"] == len(ctx.graphs)
+
+    def test_two_paths_call_coordinate_laplacian_through_graphs(self, monkeypatch):
+        # this class's count patches rebind graphs.coordinate_laplacian (and
+        # conformal's import of it): a name imported into verify would escape
+        model = default_model(3, resolution=8, twist="separable_gauss")
+        ctx = verify._Context(model=model, graphs=corpus_graphs(model, count=2), seed0=100)
+        calls = {"coordinate_laplacian": 0}
+        self.counting(monkeypatch, graphs, "coordinate_laplacian", calls)
+        for name in ("mean_curvature_two_path", "laplacian_tau_two_path"):
+            calls["coordinate_laplacian"] = 0
+            verify._REGISTRY[name](ctx)
+            assert calls["coordinate_laplacian"] == len(ctx.graphs)
+
+    @pytest.mark.parametrize("dim, resolution", [(1, 32), (2, 16), (3, 8)])
+    def test_rows_match_the_public_one_graph_functions(self, monkeypatch, dim, resolution):
+        model = default_model(dim, resolution=resolution, twist="separable_gauss", curved=True)
+        names = ["mean_curvature_two_path", "laplacian_tau_two_path", "unit_normal_norm",
+                 "support_identity", "grad_tau_contraction"]
+        shared = run_identity_suite(model, count=2, identities=names)
+
+        def unit_normal_norm(g):
+            kit = graphs._kit(g)
+            N0, NF = graphs.unit_normal(g)
+            return -N0 * N0 + kit.f ** 2 * kit.grid.inner(NF, NF) + 1.0
+
+        def support_identity(g):
+            kit = graphs._kit(g)
+            return graphs.rho_field(g) * kit.f * np.sqrt(kit.support) - 1.0
+
+        def grad_tau_contraction(g):
+            kit = graphs._kit(g)
+            gt = graphs.grad_tau(g)
+            return np.einsum("...i,...ij,...j->...", gt, kit.metric(), gt) - kit.sinh_sq
+
+        public = {
+            "mean_curvature_two_path": lambda g: (
+                graphs.mean_curvature(g) - graphs.mean_curvature_from_laplacian(g)),
+            "laplacian_tau_two_path": lambda g: (
+                graphs.laplacian_tau_fiber(g) - graphs.laplacian_tau_coordinate(g)),
+            "unit_normal_norm": unit_normal_norm,
+            "support_identity": support_identity,
+            "grad_tau_contraction": grad_tau_contraction,
+        }
+        for name, defect in public.items():
+            monkeypatch.setitem(verify._REGISTRY, name, lambda ctx, defect=defect: [
+                float(np.max(np.abs(defect(g)))) for g in ctx.graphs])
+        separate = run_identity_suite(model, count=2, identities=names)
+        assert json.dumps(shared) == json.dumps(separate)
+
     # 32^3, one corpus graph, measured after a first call has sampled the
     # twist's fiber factor: 5.27 MB for the area check, 6.56 MB with two
     # full-grid areas per sampled node; 9.70 MB for the conformal law,
-    # 11.02 MB with a kit, g1 and unrescaled Laplacian per factor
-    @pytest.mark.parametrize("identity, ceiling", [("area", 5.6e6), ("conformal", 10.2e6)])
+    # 11.02 MB with a kit, g1 and unrescaled Laplacian per factor; 6.03 MB
+    # for the laplacian_tau two-path, 7.87 MB when it holds the kit through
+    # the coordinate path's per-node algebra
+    @pytest.mark.parametrize("identity, ceiling", [
+        ("area", 5.6e6), ("conformal", 10.2e6), ("laplacian_tau", 6.6e6)])
     def test_area_and_conformal_memory(self, identity, ceiling):
         model = default_model(3, resolution=32, twist="separable_gauss")
         ctx = verify._Context(model=model, graphs=corpus_graphs(model, count=1), seed0=100)
         if identity == "area":
             def check():
                 graphs.area_gradient_check(ctx.graphs[0], count=20, seed=100)
-        else:
+        elif identity == "conformal":
             def check():
                 verify._conformal_laplacian(ctx)
+        else:
+            def check():
+                verify._laplacian_tau_two_path(ctx)
         check()
         tracemalloc.start()
         try:

@@ -16,9 +16,12 @@ flat and curved fibers, scalar, per-node and blocked times), every time
 profile kind and every conformal factor kind at the same times, every kit
 field in graph and pointwise form, both mean-curvature paths, the conformal
 and static-picture checks, the area's first-variation check on 20 sampled
-nodes and on every node, ``classify``, ``is_grw``, ``dlog_dt_range``,
-seven full solves, the positivity verdicts of adversarial twists and the
-CSV files the command line writes.  It takes a few seconds on one core.
+nodes and on every node, every row of the identity suite at the desk grids
+(three twists, flat and curved fibers) and of a one-graph
+``laplacian_tau_two_path`` convergence study, ``classify``, ``is_grw``,
+``dlog_dt_range``, seven full solves, the positivity verdicts of
+adversarial twists and the CSV files the command line writes.  It takes
+a few seconds on one core.
 
 Each solve also gets a ``solve/<name>/decisions`` digest that holds no
 floats: the tag, the Newton iterations, the certificate reason and, per
@@ -204,6 +207,27 @@ def area_results(tb, out):
             check = tb.area_gradient_check(graph, count=count, seed=dim)
             for name in ("nodes", "fd_gradient", "predicted", "rel_error"):
                 out[f"{key}/count{count}/{name}"] = digest(getattr(check, name))
+
+
+IDENTITY_TWISTS = ("separable_gauss", "additive", "grw_exp")
+
+
+def identity_results(tb, out):
+    """Every identity-suite row at the desk grids (three twists, fiber
+    dimensions 1-3, flat and curved fibers), and the rows of a one-graph
+    ``laplacian_tau_two_path`` study 8^3 -> 16^3 -> 32^3."""
+    from twistbench.verify import run_convergence_study, run_identity_suite
+
+    for twist, dim, curved in _cases():
+        if twist not in IDENTITY_TWISTS:
+            continue
+        model = tb.default_model(dim, twist=twist, curved=curved)
+        key = f"suite/{twist}/d{dim}/{'curved' if curved else 'flat'}"
+        for row in run_identity_suite(model):
+            out[f"{key}/{row['identity']}"] = digest(row)
+    study = run_convergence_study(
+        tb.default_model(3, resolution=8), quantities=["laplacian_tau_two_path"], count=1)
+    out["study/laplacian_tau_two_path/d3/8-32"] = digest(study)
 
 
 def solve_runs(tb):
@@ -396,7 +420,7 @@ def main(argv=None):
         return
     out = {}
     parts = (twist_results, profile_results, factor_results, kit_results, area_results,
-             solve_results, positivity_results, csv_results)
+             identity_results, solve_results, positivity_results, csv_results)
     for part in parts:
         part(tb, out)
     text = json.dumps(out, indent=1, sort_keys=True) + "\n"
