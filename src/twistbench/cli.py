@@ -6,8 +6,10 @@
 Exit codes are part of the interface: 0 success (or converged), 1 config or
 schema error, 2 constraint violation (non-spacelike graph or domain error),
 3 non-existence certificate, 4 not converged or a failed verification gate.
-The TWISTBENCH_THREADS environment variable caps BLAS/OpenMP parallelism
-(0 or unset leaves the libraries on automatic).
+The TWISTBENCH_THREADS environment variable caps BLAS/OpenMP parallelism:
+each thread variable keeps the smaller of its own value and the cap (0 or
+unset leaves them as they are, and a cap that is not a non-negative
+integer exits 1).
 """
 
 import argparse
@@ -15,16 +17,33 @@ import os
 import sys
 
 
+# the thread-count variables of the BLAS and OpenMP libraries numpy may load
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
 def _apply_thread_cap():
-    cap = os.environ.get("TWISTBENCH_THREADS", "").strip()
-    if cap and cap != "0":
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
+    """Cap each of ``_THREAD_VARS`` at TWISTBENCH_THREADS: a variable set to
+    a positive integer keeps the smaller of it and the cap, any other takes
+    the cap.  A cap of 0, or none, leaves them as they are.  Returns an
+    error message when the cap is not a non-negative integer, else None."""
+    raw = os.environ.get("TWISTBENCH_THREADS", "").strip()
+    if not raw:
+        return None
+    if not (raw.isascii() and raw.isdigit()):
+        return f"TWISTBENCH_THREADS must be a non-negative integer, got {raw!r}"
+    cap = int(raw)
+    if cap:
+        for var in _THREAD_VARS:
+            value = os.environ.get(var, "").strip()
+            own = int(value) if value.isascii() and value.isdigit() else 0
+            os.environ[var] = str(min(own, cap) if own else cap)
+    return None
 
 
 def _build_parser():
@@ -186,7 +205,10 @@ def _run_convergence(model, cfg, out_dir):
 
 
 def main(argv=None):
-    _apply_thread_cap()
+    error = _apply_thread_cap()
+    if error is not None:
+        print(f"config error: {error}", file=sys.stderr)
+        return 1
     args = _build_parser().parse_args(argv)
 
     from pathlib import Path

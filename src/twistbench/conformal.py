@@ -25,6 +25,7 @@ from .graphs import (
     coordinate_laplacian,
 )
 from .profiles import TrigPolynomial
+from .spacetime import slice_umbilicity
 
 __all__ = [
     "ConformalFactor",
@@ -129,32 +130,28 @@ def transform_mean_curvature(graph, phi):
     """
     kit = _kit(graph)
     u, grid = kit.u, kit.grid
-    return _transformed_mean_curvature(
-        kit, phi.value(u, grid), phi.dt(u, grid), phi.fiber_partials(u, grid)
-    )
+    normal = kit.normal_derivative(phi.dt(u, grid), phi.fiber_partials(u, grid))
+    return _transformed_mean_curvature(kit, phi.value(u, grid), normal)
 
 
-def _transformed_mean_curvature(kit, phi, phi_dt, phi_partials):
-    """``transform_mean_curvature`` from a kit and phi, d/dt phi and d_F phi
-    along its graph: g(N, grad phi) = (d/dt phi) cosh(theta) + d_F phi (N_F)."""
-    normal = phi_dt * kit.cosh + component_sum(phi_partials * kit.rho[..., None] * kit.grad_u)
+def _transformed_mean_curvature(kit, phi, normal):
+    """``transform_mean_curvature`` from a kit, phi along its graph and
+    ``normal`` = g(N, grad phi) (``_Kit.normal_derivative``)."""
     return np.exp(-phi) * (kit.H + normal)
 
 
 def slice_shape_transform(model, t0, phi):
     """Umbilic factor of the slice {t = t0} after rescaling.
 
-    Slices have shape operator lambda Id with lambda = -d/dt log f; the
-    rescaled slice stays umbilic with factor
+    Slices have shape operator lambda Id with lambda = -d/dt log f
+    (``slice_umbilicity``); the rescaled slice stays umbilic with factor
     e^{-phi} (lambda - d phi(normal)) where the normal is the comoving unit.
     Returns the rescaled factor field; identically zero for the static
     picture phi = -log f.
     """
     t0 = float(model.require_inside(t0, "slice time t0"))
     grid = model.fiber
-    lam1 = -model.twist.dlog_dt(t0, grid)
-    phi_vals = phi.value(t0, grid)
-    return np.exp(-phi_vals) * (lam1 - phi.dt(t0, grid))
+    return np.exp(-phi.value(t0, grid)) * (slice_umbilicity(model, t0) - phi.dt(t0, grid))
 
 
 @dataclass
@@ -239,11 +236,9 @@ def static_laplacian_check(graph):
     lap_tilde = coordinate_laplacian(grid, g_tilde, kit.u)
 
     # the static picture's mean curvature, with phi = log alpha = -log f
-    H_tilde = _transformed_mean_curvature(kit, -np.log(kit.f), dlog_alpha_dt, fiber_dlog_alpha)
-    normal_log_alpha = kit.f * (
-        kit.cosh * dlog_alpha_dt
-        + component_sum(fiber_dlog_alpha * kit.rho[..., None] * kit.grad_u)
-    )
+    normal = kit.normal_derivative(dlog_alpha_dt, fiber_dlog_alpha)  # g(N, grad log alpha)
+    H_tilde = _transformed_mean_curvature(kit, -np.log(kit.f), normal)
+    normal_log_alpha = kit.f * normal
 
     rhs_main = alpha ** -2 * (
         (1.0 + kit.cosh ** 2) * dlog_alpha_dt

@@ -161,8 +161,13 @@ class _Kit:
 
     def flux(self):
         """rho grad_F u, the field whose fiber divergence is the first term
-        of n H."""
+        of n H; also the fiber part N_F of the unit normal."""
         return self.rho[..., None] * self.grad_u
+
+    def normal_derivative(self, phi_dt, phi_partials):
+        """g(N, grad phi) = (d/dt phi) cosh theta + d_F phi(rho grad_F u),
+        from d/dt phi and the fiber partials d_F phi along the graph."""
+        return phi_dt * self.cosh + component_sum(phi_partials * self.rho[..., None] * self.grad_u)
 
     def curvature_terms(self):
         """The pointwise terms of n H, in the order it adds them:
@@ -473,7 +478,7 @@ def unit_normal(graph):
 
 def _unit_normal(kit):
     """``unit_normal`` from a kit the caller already holds."""
-    return kit.cosh.copy(), kit.rho[..., None] * kit.grad_u
+    return kit.cosh.copy(), kit.flux()
 
 
 @dataclass
@@ -559,8 +564,11 @@ def area_gradient_check(graph, count=20, seed=0, step=1e-5):
     pairwise over the grid, so a total rebuilt from a window-sized change
     would round differently, and the differences of whole-grid sums are
     bitwise those of two full area evaluations per node.  Raises
-    ``SpacelikeError`` if a moved copy leaves the spacelike regime.
+    ``SpacelikeError`` if a moved copy leaves the spacelike regime, and
+    ``ValueError`` for a ``count`` below 1.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     kit = _kit(graph)
     grid = kit.grid
     n = kit.n

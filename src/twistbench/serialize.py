@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-_CSV_ROWS = 4096  # rows formatted per write
+_ROWS = 4096  # rows formatted per write
 
 
 def write_field_csv(grid, field, path, name="value"):
@@ -61,28 +61,29 @@ def read_field_binary(grid, path):
 
 
 def write_table_csv(columns, path):
-    """Write named 1-D columns of equal length as CSV: integer columns as
-    integers, every other column with ``%.17g``."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]).ravel() for n in names]
-    formats = ("%d" if np.issubdtype(a.dtype, np.integer) else _FLOAT_FMT for a in arrays)
-    row = ",".join(formats) + "\n"
+    """Write named 1-D columns of equal length as CSV (``_write_rows``)."""
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        # a chunk of rows at a time, each formatted by one % on Python scalars
-        for start in range(0, len(arrays[0]) if arrays else 0, _CSV_ROWS):
-            cells = zip(*(a[start:start + _CSV_ROWS].tolist() for a in arrays))
-            fh.write("".join(row % cell for cell in cells))
+        fh.write(",".join(columns) + "\n")
+        _write_rows(fh, columns, ",")
 
 
 def write_gnuplot_data(columns, path):
-    """Whitespace-separated columns with a comment header naming them."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]).ravel() for n in names]
+    """Whitespace-separated columns (``_write_rows``) under a header naming them."""
     with open(path, "w") as fh:
-        fh.write("# " + " ".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(" ".join(_FLOAT_FMT % v for v in row) + "\n")
+        fh.write("# " + " ".join(columns) + "\n")
+        _write_rows(fh, columns, " ")
+
+
+def _write_rows(fh, columns, sep):
+    """Write the rows of named 1-D columns of equal length, cells joined by
+    ``sep``: integer columns as integers, every other column with ``%.17g``."""
+    arrays = [np.asarray(column).ravel() for column in columns.values()]
+    formats = ("%d" if np.issubdtype(a.dtype, np.integer) else _FLOAT_FMT for a in arrays)
+    row = sep.join(formats) + "\n"
+    # a chunk of rows at a time, each formatted by one % on Python scalars
+    for start in range(0, len(arrays[0]) if arrays else 0, _ROWS):
+        cells = zip(*(a[start:start + _ROWS].tolist() for a in arrays))
+        fh.write("".join(row % cell for cell in cells))
 
 
 def write_json(obj, path):

@@ -58,8 +58,9 @@ from .graphs import (
     _Kit,
     _area,
     _kit,
+    _laplacian_tau_coordinate,
+    _mean_curvature_from_laplacian,
     geometry_report,
-    mean_curvature_from_laplacian,
 )
 from .initializers import resolve_initializer
 from .spacetime import classify
@@ -130,10 +131,8 @@ class SolveOutcome:
 
 def _target_field(kit, target):
     if target == "generalized":
-        fiber_term = component_sum(
-            (kit.fiber_df / kit.f[..., None]) * kit.rho[..., None] * kit.grad_u
-        )
-        return kit.dlogf * kit.cosh + fiber_term
+        # g(N, grad log f)
+        return kit.normal_derivative(kit.dlogf, kit.fiber_df / kit.f[..., None])
     return target
 
 
@@ -188,7 +187,6 @@ class _Driver:
         self.hi = t_max - config.interval_margin
         self.span = t_max - t_min
         self.log = []
-        self.step_count = 0
         self.drift_history = []  # (mean height, residual) per fallback sweep
         # krylov_info, krylov_matvecs and gauge of the latest Newton
         # direction, for its log entry
@@ -208,7 +206,7 @@ class _Driver:
     def record(self, phase, kit, rnorm, step):
         product = kit.dtf * kit.H
         entry = {
-            "iter": self.step_count,
+            "iter": len(self.log),
             "phase": phase,
             "residual_inf": float(rnorm),
             "step": float(step),
@@ -221,7 +219,6 @@ class _Driver:
             "area": _area(kit),
         }
         self.log.append(entry)
-        self.step_count += 1
         return entry
 
     def update_drift(self, mean, rnorm):
@@ -603,19 +600,17 @@ def _edge_margin(kit):
 
 
 def _verify_converged(driver, kit, rnorm):
-    """Re-check a converged iterate: ``rnorm`` is its residual through the
-    fiber-form curvature of ``kit``; the coordinate-form second path builds
-    its own kit from the graph.  Both must pass, with the safeguards, and
-    u must carry no grid-scale mode: its sublattice spread must be at
-    round-off and its edge margin below 1.  Returns (failure or None,
-    graph, diagnostics)."""
+    """Re-check a converged iterate on the loop's own kit, building none:
+    ``rnorm`` is its residual through the fiber-form curvature of ``kit``;
+    the coordinate-form second path solves for H from the kit's assembled
+    metric.  Both must pass, with the safeguards, and u must carry no
+    grid-scale mode: its sublattice spread must be at round-off and its
+    edge margin below 1.  Returns (failure or None, diagnostics)."""
     config = driver.config
     u = kit.u
-    graph = GraphField(driver.model, u)
     target = _target_field(kit, config.target)
-    r_secondary = float(
-        np.max(np.abs(kit.n * (mean_curvature_from_laplacian(graph) - target)))
-    )
+    coordinate = _mean_curvature_from_laplacian(kit, _laplacian_tau_coordinate(kit))
+    r_secondary = float(np.max(np.abs(kit.n * (coordinate - target))))
     margin = float(kit.mu.max())
     spread = _sublattice_spread(u)
     edge_margin = _edge_margin(kit)
@@ -644,7 +639,7 @@ def _verify_converged(driver, kit, rnorm):
             float(dlog[imax] - config.target) if config.target != "generalized" else None
         ),
     }
-    return failure, graph, diagnostics
+    return failure, diagnostics
 
 
 def solve(model, config):
@@ -734,10 +729,11 @@ def solve(model, config):
         kit, R, rnorm, lam = stepped
         driver.record("newton", kit, rnorm, lam).update(driver.direction)
 
-    failure, graph, diagnostics = _verify_converged(driver, kit, rnorm)
+    failure, diagnostics = _verify_converged(driver, kit, rnorm)
     diagnostics["target"] = config.target
     if failure is not None:
         return not_converged(diagnostics, failure)
+    graph = GraphField(model, kit.u)
     return outcome(
         "converged", graph=graph, report=geometry_report(graph), diagnostics=diagnostics
     )

@@ -285,10 +285,12 @@ def run_identity_suite(
 ):
     """Evaluate the identity defects on a seeded corpus over one model.
 
-    ``identities`` None runs every identity.  Returns a list of rows
-    {identity, kind, max_defect, mean_defect, threshold, pass}; overall
-    pass is the conjunction.
+    ``identities`` None runs every identity; a ``count`` below 1 is
+    refused.  Returns a list of rows {identity, kind, max_defect,
+    mean_defect, threshold, pass}; overall pass is the conjunction.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     names = _names(identities, _REGISTRY, "identities")
     ctx = _Context(
         model=model,
@@ -336,8 +338,11 @@ def run_convergence_study(
     ``DEFAULT_QUANTITIES``).  The observed order of an "order2" identity is
     log2 of the defect drop over the finest refinement pair and must reach
     ``min_order``; "exact" identities skip the order test and are gated by
-    their fixed tolerance at every level.
+    their fixed tolerance at every level.  Fewer than two ``factors`` are
+    refused.
     """
+    if len(factors) < 2:
+        raise ValueError(f"factors must list at least two refinement factors, got {factors!r}")
     names = _names(quantities, DEFAULT_QUANTITIES, "quantities")
     per_level = []
     for factor in factors:

@@ -463,3 +463,50 @@ class TestThreadCap:
             TWISTBENCH_THREADS="1",
         )
         assert result == {"code": 0, "cap": "1"}
+
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+    def capped(self, **env):
+        """The thread variables after the cap, in a fresh interpreter."""
+        return _scrubbed_python(
+            "import json, os\n"
+            "from twistbench.cli import _apply_thread_cap\n"
+            "error = _apply_thread_cap()\n"
+            f"print(json.dumps([error] + [os.environ.get(v) for v in {self.THREAD_VARS!r}]))\n",
+            **env,
+        )
+
+    def test_cap_lowers_a_larger_setting(self):
+        result = self.capped(OMP_NUM_THREADS="8", OPENBLAS_NUM_THREADS="4", TWISTBENCH_THREADS="1")
+        assert result == [None, "1", "1", "1", "1", "1"]
+
+    def test_cap_keeps_a_smaller_setting(self):
+        result = self.capped(OMP_NUM_THREADS="1", MKL_NUM_THREADS="auto", TWISTBENCH_THREADS="2")
+        assert result == [None, "1", "2", "2", "2", "2"]
+
+    @pytest.mark.parametrize("cap", ["0", ""])
+    def test_zero_or_empty_cap_changes_nothing(self, cap):
+        result = self.capped(OMP_NUM_THREADS="8", TWISTBENCH_THREADS=cap)
+        assert result == [None, "8", None, None, None, None]
+
+    @pytest.mark.parametrize("cap", ["two", "-1", "1.5", "\u0662"])
+    def test_a_cap_that_is_not_a_count_exits_1(self, cap):
+        result = _scrubbed_python(
+            "import contextlib, io, json, os, sys\n"
+            "from twistbench.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = main(['geometry', '--config', 'absent.json'])\n"
+            "print(json.dumps({'code': code, 'stderr': err.getvalue(),\n"
+            "                  'omp': os.environ.get('OMP_NUM_THREADS'),\n"
+            "                  'numpy': 'numpy' in sys.modules}))\n",
+            TWISTBENCH_THREADS=cap,
+        )
+        assert result == {
+            "code": 1,
+            "stderr": f"config error: TWISTBENCH_THREADS must be a non-negative integer, "
+                      f"got {cap!r}\n",
+            "omp": None,
+            "numpy": False,
+        }

@@ -85,6 +85,18 @@ class TestTransformMeanCurvature:
         H2 = transform_mean_curvature(graph, ConformalFactor.static_picture(model.twist))
         assert np.max(np.abs(H2)) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slice_is_the_rescaled_umbilic_factor(self, dim):
+        # on a slice grad u = 0 and cosh theta = 1: H' = e^-phi (d/dt log f
+        # + d/dt phi), minus the slice's rescaled umbilic factor
+        model = default_model(dim, resolution=8, twist="additive", curved=True)
+        graph = GraphField.constant(model, 0.3)
+        for phi in catalog(model):
+            expected = -slice_shape_transform(model, 0.3, phi)
+            scale = float(np.max(np.abs(expected))) or 1.0
+            H2 = transform_mean_curvature(graph, phi)
+            assert np.max(np.abs(H2 - expected)) <= 2e-15 * scale
+
     def test_generalized_solution_has_tiny_static_curvature(self):
         model = default_model(1, twist="separable_gauss")
         cfg = SolveConfig(
@@ -246,6 +258,14 @@ class TestStaticPicture:
         static_laplacian_check(graph)
         assert len(kits) == 1
         assert [len(calls) for calls in twist_calls] == [0, 0, 0, 0]
+
+    def test_one_normal_derivative_per_check(self, monkeypatch):
+        # g(N, grad log alpha) serves both H_tilde and the pairing's normal term
+        model = default_model(2, resolution=8, twist="additive", curved=True)
+        graph = random_trig_graph(model, seed=2, amplitude=0.05)
+        calls = count_calls(monkeypatch, _Kit, "normal_derivative")
+        static_laplacian_check(graph)
+        assert len(calls) == 1
 
 
 class TestMaximalPowerRescaling:

@@ -535,6 +535,11 @@ class TestArea:
             check = area_gradient_check(graph, count=20, seed=1)
             assert np.max(check.rel_error) <= 1e-5
 
+    def test_refuses_an_empty_sample(self):
+        graph = random_trig_graph(default_model(1, resolution=16), seed=1, amplitude=0.05)
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
+            area_gradient_check(graph, count=0)
+
 
 def full_grid_area(model, values):
     """The area sum of heights ``values`` by the whole-grid formula, the

@@ -133,3 +133,32 @@ class TestOneCsvWriter:
         reference_table_csv(columns, tmp_path / "reference.csv")
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / "table.csv").read_text().splitlines()[1] == "0,0,0,-0,-0"
+
+    def test_gnuplot_rows_are_the_csv_rows(self, tmp_path):
+        # the same cells as the CSV, integers past 17 digits included
+        n = 5000
+        values = np.random.default_rng(8).standard_normal(n)
+        columns = {"k": np.arange(n), "big": np.arange(n) * 2**49, "value": values}
+        write_table_csv(columns, tmp_path / "table.csv")
+        write_gnuplot_data(columns, tmp_path / "table.dat")
+        csv_lines = (tmp_path / "table.csv").read_text().splitlines()
+        dat_lines = (tmp_path / "table.dat").read_text().splitlines()
+        assert dat_lines[0] == "# k big value"
+        assert dat_lines[1:] == [line.replace(",", " ") for line in csv_lines[1:]]
+        assert dat_lines[-1].split()[1] == str((n - 1) * 2**49)
+
+    @pytest.mark.parametrize("dim, m", [(1, 9), (2, 8), (3, 8)])
+    def test_report_dat_rows_are_the_report_csv_rows(self, tmp_path, dim, m):
+        model = default_model(dim, resolution=m, twist="separable_gauss")
+        report = geometry_report(random_trig_graph(model, seed=dim, amplitude=0.05))
+        table = geometry_report_table(report)
+        write_table_csv(table, tmp_path / "report.csv")
+        write_gnuplot_data(table, tmp_path / "report.dat")
+        csv_rows = [line.split(",") for line in
+                    (tmp_path / "report.csv").read_text().splitlines()[1:]]
+        dat_rows = [line.split(" ") for line in
+                    (tmp_path / "report.dat").read_text().splitlines()[1:]]
+        assert dat_rows == csv_rows
+        # the index columns i1.. print as integers
+        assert [row[:dim] for row in dat_rows] == [
+            [str(i) for i in index] for index in model.fiber.node_indices()]

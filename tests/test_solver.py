@@ -20,9 +20,11 @@ from twistbench import (
     certificate_check,
     default_model,
     mean_curvature,
+    mean_curvature_from_laplacian,
     random_trig_graph,
     residual_field,
     rigidity_report,
+    slice_mean_curvature,
     solve,
 )
 
@@ -105,6 +107,16 @@ class TestResidual:
             builds.clear()
             assert np.array_equal(residual_field(graph, target=target), R)
             assert len(builds) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_generalized_residual_vanishes_on_slices(self, dim):
+        # on a slice grad u = 0 and cosh theta = 1, so H and the target
+        # g(N, grad log f) are both d/dt log f
+        model = default_model(dim, resolution=8, twist="additive", curved=True)
+        R = residual_field(GraphField.constant(model, 0.3), target="generalized")
+        scale = float(np.max(np.abs(slice_mean_curvature(model, 0.3))))
+        assert scale > 0.1
+        assert np.max(np.abs(R)) <= 1e-15 * dim * scale
 
     def test_nonspacelike_input_raises(self):
         model = flat_grw_model()
@@ -198,6 +210,23 @@ class TestSolve:
         assert len(curvatures) == len(residuals) + 1
         primary = float(np.max(np.abs(residual_field(outcome.graph, target))))
         assert outcome.diagnostics["residual_primary"] == primary == outcome.residual_norm
+
+    @pytest.mark.parametrize("target", [0.0, "generalized"])
+    def test_reverification_builds_no_kit(self, monkeypatch, target):
+        # the coordinate path reads the iterate's own kit, with the bits of
+        # the public mean_curvature_from_laplacian on a kit of its own
+        model = default_model(2, resolution=16, twist="additive")
+        graph = random_trig_graph(model, seed=4, amplitude=0.05)
+        driver = solver_mod._Driver(model, SolveConfig(target=target))
+        kit, R = driver.trial(graph.u)
+        target_field = solver_mod._target_field(kit, target)
+        secondary = float(np.max(np.abs(
+            kit.n * (mean_curvature_from_laplacian(graph) - target_field))))
+        kits, _ = count_kits_and_residuals(monkeypatch)
+        failure, diagnostics = solver_mod._verify_converged(driver, kit, 0.0)
+        assert kits == []
+        assert diagnostics["residual_secondary"] == secondary
+        assert failure == "two-path re-verification failed"  # not a solution
 
     def test_extremum_inequalities_on_converged(self):
         model = transition_model()
@@ -361,6 +390,7 @@ class TestOneLoop:
         assert outcome.diagnostics["newton_iters"] == 1
         assert outcome.diagnostics["fallback_sweeps"] == 7
         assert [e["phase"] for e in outcome.log] == ["init"] + ["fallback"] * 7
+        assert [e["iter"] for e in outcome.log] == list(range(8))
 
     def test_the_sweep_budget_ends_a_chunk(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "_krylov_step", lambda driver, u, R: None)
@@ -526,15 +556,16 @@ class TestJacobian:
     def test_maximal_2d_solve_uses_few_residual_evaluations(self, monkeypatch):
         # 4 Newton steps, each taking its full step: one residual for the
         # start and one per trial point (133 with the colored Jacobian); 6
-        # kits per step for the Jacobians and 4 for the two-path
-        # re-verification and geometry_report (137 kits before)
+        # kits per step for the Jacobians, and 2 for the initializer's
+        # margin and geometry_report: the two-path re-verification reads the
+        # iterate's kit (137 kits with the colored Jacobian)
         kits, residuals = count_kits_and_residuals(monkeypatch)
         model = default_model(2, resolution=64, twist="separable_gauss")
         cfg = SolveConfig(target=0.0, initial={"kind": "random_trig", "seed": 7, "amplitude": 0.1})
         outcome = solve(model, cfg)
         assert outcome.tag == "converged"
         assert len(residuals) <= 5
-        assert len(kits) <= 5 + 4 * 6 + 4
+        assert len(kits) <= 5 + 4 * 6 + 2
 
     def test_maximal_3d_solve_uses_few_residual_evaluations(self, monkeypatch):
         # as on 64^2, with 8 Jacobian kits per step on 16^3 (261 residuals
@@ -546,7 +577,7 @@ class TestJacobian:
         outcome = solve(model, cfg)
         assert outcome.tag == "converged"
         assert len(residuals) <= 5
-        assert len(kits) <= 5 + 4 * 8 + 4
+        assert len(kits) <= 5 + 4 * 8 + 2
 
     def test_builder_fault_propagates(self, monkeypatch):
         # a programming error must not be read as "fall back to relaxation"

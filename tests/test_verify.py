@@ -150,6 +150,19 @@ class TestConvergenceStudy:
         # the suite's kind and gate: the exact identity fails its override
         assert rows[0]["kind"] == "exact" and not rows[0]["pass"]
 
+    def test_refuses_an_empty_corpus(self):
+        model = default_model(1, resolution=16)
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
+            run_identity_suite(model, count=0)
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
+            run_convergence_study(model, count=0)
+
+    def test_refuses_a_single_level(self):
+        model = default_model(1, resolution=16)
+        with pytest.raises(ValueError, match=r"^factors must list at least two refinement "
+                                             r"factors, got \(1,\)$"):
+            run_convergence_study(model, quantities=["mean_curvature_two_path"], factors=(1,))
+
     def test_registry_kinds_are_consistent(self):
         assert IDENTITY_KINDS["support_identity"] == "exact"
         assert IDENTITY_KINDS["mean_curvature_two_path"] == "order2"

@@ -14,14 +14,15 @@ by ``repr``.
 The matrix covers the twist evaluators (6 twists, fiber dimensions 1-3,
 flat and curved fibers, scalar, per-node and blocked times), every time
 profile kind and every conformal factor kind at the same times, every kit
-field in graph and pointwise form, both mean-curvature paths, the conformal
-and static-picture checks, the area's first-variation check on 20 sampled
+field in graph and pointwise form, both mean-curvature paths, the unit
+normal, ``grad_tau`` and the ``"generalized"`` residual, the conformal and
+static-picture checks, the area's first-variation check on 20 sampled
 nodes and on every node, every row of the identity suite at the desk grids
 (three twists, flat and curved fibers) and of a one-graph
 ``laplacian_tau_two_path`` convergence study, ``classify``, ``is_grw``,
 ``dlog_dt_range``, seven full solves, the positivity verdicts of
-adversarial twists and the CSV files the command line writes.  It takes
-a few seconds on one core.
+adversarial twists and the geometry tables the command line writes as CSV
+and as gnuplot columns.  It takes a few seconds on one core.
 
 Each solve also gets a ``solve/<name>/decisions`` digest that holds no
 floats: the tag, the Newton iterations, the certificate reason and, per
@@ -182,6 +183,9 @@ def kit_results(tb, out):
             for name in ("metric", "det_factored", "composed_df", "flux", "curvature_terms"):
                 out[f"{key}/{form}/{name}()"] = digest(getattr(kit, name)())
         out[f"{key}/H_fiber"] = digest(tb.mean_curvature(graph))
+        out[f"{key}/unit_normal"] = digest(tb.unit_normal(graph))
+        out[f"{key}/grad_tau"] = digest(tb.grad_tau(graph))
+        out[f"{key}/residual_generalized"] = digest(tb.residual_field(graph, "generalized"))
         out[f"{key}/H_coordinate"] = digest(tb.mean_curvature_from_laplacian(graph))
         out[f"{key}/laplacian_tau"] = digest(
             [tb.laplacian_tau_fiber(graph), tb.laplacian_tau_coordinate(graph)])
@@ -381,7 +385,12 @@ def positivity_results(tb, out):
 
 
 def csv_results(tb, out):
-    from twistbench.serialize import geometry_report_table, write_field_csv, write_table_csv
+    from twistbench.serialize import (
+        geometry_report_table,
+        write_field_csv,
+        write_gnuplot_data,
+        write_table_csv,
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         for dim in (1, 2, 3):
@@ -391,8 +400,11 @@ def csv_results(tb, out):
             report = tb.geometry_report(graph)
             out[f"geometry/d{dim}/summary"] = digest(report.summary())
             path = Path(tmp) / "report.csv"
-            write_table_csv(geometry_report_table(report), path)
+            table = geometry_report_table(report)
+            write_table_csv(table, path)
             out[f"csv/d{dim}/table"] = digest(path.read_bytes())
+            write_gnuplot_data(table, path)
+            out[f"gnuplot/d{dim}/table"] = digest(path.read_bytes())
             write_field_csv(model.fiber, graph.u, path, name="u")
             out[f"csv/d{dim}/field"] = digest(path.read_bytes())
 
